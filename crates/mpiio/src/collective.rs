@@ -1,32 +1,18 @@
 //! Two-phase collective I/O — the paper's OCIO baseline, as implemented by
-//! ROMIO (§III.A).
-//!
-//! `write_all_at`:
-//!
-//! 1. every rank resolves its view into file extents and the communicator
-//!    agrees on the aggregate file domain `[min, max)` (allreduce);
-//! 2. the domain is split evenly across the aggregators;
-//! 3. **data exchange phase**: every rank sends each aggregator the pieces
-//!    of its request that fall inside that aggregator's domain — an
-//!    all-to-all burst of Isend/Irecv traffic (this is the traffic pattern
-//!    the paper blames for OCIO's collapse at scale);
-//! 4. **I/O phase**: each aggregator assembles its domain in a *collective
-//!    buffer* (counted against the rank's simulated memory budget — the
-//!    source of the Fig. 6/7 out-of-memory failure) and issues large
-//!    contiguous file-system writes.
-//!
-//! `read_all_at` runs the phases in reverse, with an extra request-exchange
-//! round so aggregators know what to read.
+//! ROMIO (§III.A): [`write_all_at`] and [`read_all_at`] over the world,
+//! one 12-byte header per file extent on the wire (or per merged extent
+//! under [`CollectiveConfig::req_agg`]). The rounds themselves live in
+//! the crate's internal two-phase `engine` module.
 //!
 //! `cb_buffer = None` reproduces the paper's observed behaviour (the whole
 //! domain is buffered at once — their memory accounting in §V.B.2b implies
 //! an unchunked exchange). `cb_buffer = Some(bytes)` enables ROMIO-style
 //! multi-round chunking and is exercised by the ablation benches.
 
+use crate::engine::{Encoding, Engine, Scope};
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
 use crate::file::File;
-use mpisim::{Phase, Rank, ReduceOp};
+use mpisim::Rank;
 
 /// Tuning knobs of the two-phase implementation (ROMIO hints).
 #[derive(Debug, Clone, Default)]
@@ -50,15 +36,17 @@ pub struct CollectiveConfig {
     /// adjacent-extent coalescing, and ship one merged list per
     /// (node, aggregator) pair — see [`crate::reqagg`]. Classic two-phase
     /// (`write_all_at`/`read_all_at`) merges semantically; the view-based
-    /// and partitioned paths treat this flag as `intra_agg` (their wire
-    /// formats are already per-interval, not per-extent). Falls back to
-    /// the flat burst without a topology.
+    /// and partitioned paths treat this flag as `intra_agg` (view-based
+    /// requests are already one interval per aggregator, and the merge
+    /// needs world-scope node leaders). Falls back to the flat burst
+    /// without a topology.
     pub req_agg: bool,
     /// Pipelined (double-buffered) rounds: an aggregator submits round
     /// k's file I/O, *keeps the completion as a deferred handle*, and
     /// runs round k+1's exchange while the OSTs service round k —
     /// settling the handle only when both collective buffers are in
-    /// flight (depth 2) or the round loop ends. File bytes are identical
+    /// flight (depth 2) or the round loop ends; reads prefetch round
+    /// k+1's request exchange the same way. File bytes are identical
     /// to the serialized path (the storage layer applies data at
     /// submission); only the clock attribution changes. Combine with
     /// `cb_buffer` — a single unchunked round has nothing to overlap.
@@ -73,219 +61,20 @@ pub struct CollectiveConfig {
     pub hedged_reads: bool,
 }
 
-/// Pipeline depth of the round loop: double buffering, matching the two
-/// collective buffers an aggregator holds in flight.
-const PIPELINE_DEPTH: usize = 2;
-
-/// The data-exchange step shared by all two-phase paths: the flat
-/// all-to-all burst, or the two-level (intra-node aggregated) variant.
-pub(crate) fn exchange(
-    rank: &mut Rank,
-    cfg: &CollectiveConfig,
-    payloads: Vec<Vec<u8>>,
-) -> Result<Vec<Vec<u8>>> {
-    if cfg.intra_agg || cfg.req_agg {
-        // `req_agg` on the paths that don't merge semantically (view-based,
-        // partitioned) still gets the leader-forwarded two-level exchange.
-        Ok(rank.alltoallv_burst_hier(payloads)?)
-    } else {
-        Ok(rank.alltoallv_burst(payloads)?)
+/// The classic front-end: world scope, per-extent lists — merged on node
+/// leaders when `req_agg` is set and there are nodes to merge on.
+fn classic<'a>(rank: &Rank, cfg: &'a CollectiveConfig, sites: [&'static str; 2]) -> Engine<'a> {
+    let merged = cfg.req_agg && rank.topology().is_some_and(|t| !t.is_trivial());
+    Engine {
+        scope: Scope::World,
+        enc: if merged {
+            Encoding::Merged
+        } else {
+            Encoding::Extents
+        },
+        cfg,
+        sites,
     }
-}
-
-/// Does this collective use the semantic request-aggregation exchange?
-/// (Needs a topology to have node leaders at all.)
-fn use_reqagg(rank: &Rank, cfg: &CollectiveConfig) -> bool {
-    cfg.req_agg && rank.topology().is_some_and(|t| !t.is_trivial())
-}
-
-/// Serialize a piece list `[(file_off, len, payload)]` for the exchange.
-pub(crate) fn encode_pieces(pieces: &[(u64, &[u8])]) -> Vec<u8> {
-    let header = 4 + pieces.len() * 12;
-    let data: usize = pieces.iter().map(|(_, d)| d.len()).sum();
-    let mut out = Vec::with_capacity(header + data);
-    out.extend_from_slice(&(pieces.len() as u32).to_le_bytes());
-    for (off, d) in pieces {
-        out.extend_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&(d.len() as u32).to_le_bytes());
-    }
-    for (_, d) in pieces {
-        out.extend_from_slice(d);
-    }
-    out
-}
-
-/// Decode a piece list; returns `(off, payload)` views into `buf`.
-pub(crate) fn decode_pieces(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
-    if buf.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bad = || IoError::Usage("malformed exchange payload".into());
-    if buf.len() < 4 {
-        return Err(bad());
-    }
-    let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let mut meta = Vec::with_capacity(n);
-    let mut pos = 4usize;
-    for _ in 0..n {
-        if pos + 12 > buf.len() {
-            return Err(bad());
-        }
-        let off = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-        let len = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        meta.push((off, len));
-        pos += 12;
-    }
-    let mut out = Vec::with_capacity(n);
-    for (off, len) in meta {
-        if pos + len > buf.len() {
-            return Err(bad());
-        }
-        out.push((off, &buf[pos..pos + len]));
-        pos += len;
-    }
-    Ok(out)
-}
-
-/// Serialize a request list `[(file_off, len)]` (reads, phase 1).
-pub(crate) fn encode_requests(reqs: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + reqs.len() * 12);
-    out.extend_from_slice(&(reqs.len() as u32).to_le_bytes());
-    for &(off, len) in reqs {
-        out.extend_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&(len as u32).to_le_bytes());
-    }
-    out
-}
-
-pub(crate) fn decode_requests(buf: &[u8]) -> Result<Vec<(u64, u64)>> {
-    if buf.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bad = || IoError::Usage("malformed request payload".into());
-    if buf.len() < 4 {
-        return Err(bad());
-    }
-    let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if buf.len() != 4 + n * 12 {
-        return Err(bad());
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 4;
-    for _ in 0..n {
-        let off = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-        let len = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap()) as u64;
-        out.push((off, len));
-        pos += 12;
-    }
-    Ok(out)
-}
-
-/// File-domain geometry shared by reads and writes.
-pub(crate) struct Domains {
-    pub(crate) gmin: u64,
-    pub(crate) naggs: usize,
-    /// The rank serving each aggregator index. Normally the evenly-spread
-    /// `i * nprocs / naggs` mapping; under fault injection, ranks with a
-    /// stall window ahead are excluded (graceful degradation), so the set
-    /// can be sparser than the spread.
-    pub(crate) agg_ranks: Vec<usize>,
-    pub(crate) dsize: u64,
-    pub(crate) gmax: u64,
-    pub(crate) rounds: u64,
-    pub(crate) round_size: u64,
-}
-
-impl Domains {
-    /// Aggregator index → its rank.
-    pub(crate) fn agg_rank(&self, i: usize, _nprocs: usize) -> usize {
-        self.agg_ranks[i]
-    }
-
-    /// Which aggregator index (if any) does this rank serve as?
-    pub(crate) fn my_agg_index(&self, rank: usize, _nprocs: usize) -> Option<usize> {
-        self.agg_ranks.iter().position(|&r| r == rank)
-    }
-
-    /// Aggregator i's domain `[start, end)`.
-    pub(crate) fn domain(&self, i: usize) -> (u64, u64) {
-        let start = self.gmin + i as u64 * self.dsize;
-        let end = (start + self.dsize).min(self.gmax);
-        (start.min(self.gmax), end)
-    }
-
-    /// Aggregator i's window for round r.
-    pub(crate) fn window(&self, i: usize, r: u64) -> (u64, u64) {
-        let (ds, de) = self.domain(i);
-        let ws = ds + r * self.round_size;
-        let we = (ws + self.round_size).min(de);
-        (ws.min(de), we)
-    }
-}
-
-pub(crate) fn compute_domains(
-    rank: &mut Rank,
-    local_min: u64,
-    local_max: u64,
-    cfg: &CollectiveConfig,
-) -> Result<Option<Domains>> {
-    let gmin = rank.allreduce_u64(local_min, ReduceOp::Min)?;
-    let gmax = rank.allreduce_u64(local_max, ReduceOp::Max)?;
-    if gmin >= gmax {
-        return Ok(None); // nothing to do anywhere
-    }
-    let nprocs = rank.nprocs();
-    let naggs = cfg.cb_nodes.unwrap_or(nprocs).clamp(1, nprocs);
-    let mut agg_ranks: Vec<usize> = match rank.topology() {
-        // Node-aware placement: interleave nodes so the first
-        // `num_nodes` aggregators land one per node — aggregator NICs
-        // are the bottleneck of the I/O phase, so doubling up on a node
-        // before every node has one wastes links.
-        Some(topo) => {
-            let mut order = topo.interleaved_order();
-            order.truncate(naggs);
-            order
-        }
-        // Topology-blind: the classic evenly-spread ROMIO mapping.
-        None => (0..naggs).map(|i| i * nprocs / naggs).collect(),
-    };
-    // Graceful degradation: drop aggregators with a stall window still
-    // ahead, and re-elect around ranks the fault plan will crash-stop —
-    // an aggregator that dies mid-drain takes every rank's staged data
-    // with it. Both allreduces above are symmetric (equal payloads on
-    // every rank), so all ranks exit with *identical* clocks — evaluating
-    // the pure-function stall/crash queries here yields the same shrunk
-    // set everywhere without extra communication. If every candidate is a
-    // straggler, keep the original set (someone has to do the I/O).
-    if let Some(engine) = rank.chaos() {
-        let t = rank.now();
-        let healthy: Vec<usize> = agg_ranks
-            .iter()
-            .copied()
-            .filter(|&r| !engine.stall_ahead(r, t) && !engine.crash_ahead(r))
-            .collect();
-        if !healthy.is_empty() {
-            agg_ranks = healthy;
-        }
-    }
-    let naggs = agg_ranks.len();
-    let mut dsize = (gmax - gmin).div_ceil(naggs as u64);
-    if let Some(a) = cfg.align {
-        if a > 0 {
-            dsize = dsize.div_ceil(a) * a;
-        }
-    }
-    let round_size = cfg.cb_buffer.unwrap_or(dsize).max(1).min(dsize);
-    let rounds = dsize.div_ceil(round_size);
-    Ok(Some(Domains {
-        gmin,
-        naggs,
-        agg_ranks,
-        dsize,
-        gmax,
-        rounds,
-        round_size,
-    }))
 }
 
 /// Collective write: all ranks must call, each with its own (possibly
@@ -300,127 +89,7 @@ pub fn write_all_at(
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
     }
-    let extents = file.view().map_range(offset, data.len() as u64);
-    // Stream cursor for each extent, to slice `data`.
-    let mut cursors = Vec::with_capacity(extents.len());
-    let mut acc = 0u64;
-    for &(_, len) in &extents {
-        cursors.push(acc);
-        acc += len;
-    }
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
-    };
-    let nprocs = rank.nprocs();
-    let my_agg = doms.my_agg_index(rank.rank(), nprocs);
-    let reqagg = use_reqagg(rank, cfg);
-
-    // Deferred I/O completions of in-flight rounds (pipelined mode only).
-    // The collective buffer's memory guard rides along: both buffers stay
-    // charged against the rank's budget until their round is settled.
-    let mut inflight: std::collections::VecDeque<(mpisim::DeferredIo, mpisim::MemGuard)> =
-        std::collections::VecDeque::new();
-
-    for r in 0..doms.rounds {
-        // Double buffering: before opening round r's exchange, settle the
-        // oldest in-flight write so at most PIPELINE_DEPTH collective
-        // buffers exist at once.
-        while inflight.len() >= PIPELINE_DEPTH {
-            let (h, _cb) = inflight.pop_front().expect("non-empty inflight");
-            rank.io_complete(h);
-        }
-        // Build per-destination piece payloads for this round.
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
-            }
-            let mut pieces: Vec<(u64, &[u8])> = Vec::new();
-            for (k, &(eoff, elen)) in extents.iter().enumerate() {
-                let s = eoff.max(ws);
-                let e = (eoff + elen).min(we);
-                if s < e {
-                    let dstart = (cursors[k] + (s - eoff)) as usize;
-                    pieces.push((s, &data[dstart..dstart + (e - s) as usize]));
-                }
-            }
-            if !pieces.is_empty() {
-                payloads[doms.agg_rank(i, nprocs)] = encode_pieces(&pieces);
-            }
-        }
-        // Data exchange phase: the all-to-all burst (or the leader-merged
-        // request-aggregation exchange).
-        let exchanged = if reqagg {
-            crate::reqagg::exchange_pieces(rank, &doms.agg_ranks, payloads)?
-        } else {
-            exchange(rank, cfg, payloads)?
-        };
-
-        // I/O phase (aggregators only).
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                let win_len = (we - ws) as usize;
-                let cb = rank.alloc(win_len as u64)?; // collective buffer
-                rank.note_mem_peak();
-                let mut buf = vec![0u8; win_len];
-                let mut dirty = ExtentSet::new();
-                for payload in &exchanged {
-                    for (off, bytes) in decode_pieces(payload)? {
-                        let at = (off - ws) as usize;
-                        buf[at..at + bytes.len()].copy_from_slice(bytes);
-                        rank.charge_memcpy(bytes.len() as u64);
-                        dirty.insert(off, bytes.len() as u64);
-                    }
-                }
-                let io_start = rank.now();
-                let mut written = 0u64;
-                let mut done = rank.now();
-                for &(off, len) in dirty.runs() {
-                    let at = (off - ws) as usize;
-                    let pfs = file.pfs().clone();
-                    let fid = file.file_id();
-                    let t = crate::retry::pfs_retry(rank, |rk| {
-                        pfs.write_at(fid, rk.rank(), off, &buf[at..at + len as usize], rk.now())
-                    })?;
-                    done = done.max(t);
-                    written += len;
-                    rank.stats.io_writes += 1;
-                    rank.stats.io_write_bytes += len;
-                }
-                if cfg.pipeline {
-                    // The PFS applied the bytes at submission; only the
-                    // completion time is outstanding. Keep it as a handle
-                    // so round r+1's exchange overlaps the OST service.
-                    inflight.push_back((
-                        mpisim::DeferredIo {
-                            name: "ocio_io_pipe",
-                            submitted: io_start,
-                            done,
-                            bytes: written,
-                        },
-                        cb,
-                    ));
-                } else {
-                    drop(cb);
-                    rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
-                    rank.trace_mark("ocio_io", Phase::Io, io_start, written);
-                }
-            }
-        }
-    }
-    // Drain the pipeline before the closing barrier so every rank's clock
-    // covers its own I/O completions.
-    while let Some((h, _cb)) = inflight.pop_front() {
-        rank.io_complete(h);
-    }
-    rank.barrier()?;
-    Ok(())
+    classic(rank, cfg, ["ocio_io", "ocio_io_pipe"]).write(rank, file, file.view(), offset, data)
 }
 
 /// Collective read: all ranks must call, each filling its own (possibly
@@ -435,286 +104,7 @@ pub fn read_all_at(
     if !file.mode().readable() {
         return Err(IoError::Usage("file is not open for reading".into()));
     }
-    let extents = file.view().map_range(offset, buf.len() as u64);
-    let mut cursors = Vec::with_capacity(extents.len());
-    let mut acc = 0u64;
-    for &(_, len) in &extents {
-        cursors.push(acc);
-        acc += len;
-    }
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
-    };
-    let nprocs = rank.nprocs();
-    let my_agg = doms.my_agg_index(rank.rank(), nprocs);
-    let reqagg = use_reqagg(rank, cfg);
-
-    // Per-round request builder: payloads per destination rank plus the
-    // (buf_cursor, len) slots the responses will fill, in request order.
-    let build_round = |r: u64| -> (Vec<Vec<u8>>, FillPlan) {
-        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        let mut fill_plan: FillPlan = vec![Vec::new(); nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
-            }
-            let mut reqs: Vec<(u64, u64)> = Vec::new();
-            let a = doms.agg_rank(i, nprocs);
-            for (k, &(eoff, elen)) in extents.iter().enumerate() {
-                let s = eoff.max(ws);
-                let e = (eoff + elen).min(we);
-                if s < e {
-                    reqs.push((s, e - s));
-                    fill_plan[a].push(((cursors[k] + (s - eoff)) as usize, (e - s) as usize));
-                }
-            }
-            if !reqs.is_empty() {
-                requests[a] = encode_requests(&reqs);
-            }
-        }
-        (requests, fill_plan)
-    };
-
-    if !cfg.pipeline {
-        for r in 0..doms.rounds {
-            // Phase 1: send each aggregator the extents we need from its
-            // window.
-            let (requests, fill_plan) = build_round(r);
-            let (incoming, session) = if reqagg {
-                let (inc, s) = crate::reqagg::exchange_requests(rank, &doms.agg_ranks, requests)?;
-                (inc, Some(s))
-            } else {
-                (exchange(rank, cfg, requests)?, None)
-            };
-
-            // Phase 2: aggregators read their window and answer.
-            let mut responses: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-            if let Some(i) = my_agg {
-                let (ws, we) = doms.window(i, r);
-                if ws < we {
-                    // Union of everything requested in this window.
-                    let mut wanted = ExtentSet::new();
-                    let mut per_rank_reqs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(nprocs);
-                    for payload in &incoming {
-                        let reqs = decode_requests(payload)?;
-                        for &(o, l) in &reqs {
-                            wanted.insert(o, l);
-                        }
-                        per_rank_reqs.push(reqs);
-                    }
-                    if !wanted.is_empty() {
-                        let win_len = (we - ws) as usize;
-                        let _cb = rank.alloc(win_len as u64)?;
-                        rank.note_mem_peak();
-                        let mut wbuf = vec![0u8; win_len];
-                        let io_start = rank.now();
-                        let mut read = 0u64;
-                        let mut done = rank.now();
-                        if cfg.hedged_reads {
-                            file.pfs().hedge_scope_begin(rank.rank());
-                        }
-                        for &(off, len) in wanted.runs() {
-                            let at = (off - ws) as usize;
-                            let pfs = file.pfs().clone();
-                            let fid = file.file_id();
-                            let dst = &mut wbuf[at..at + len as usize];
-                            let t = crate::retry::pfs_retry(rank, |rk| {
-                                if cfg.hedged_reads {
-                                    pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
-                                } else {
-                                    pfs.read_at(fid, rk.rank(), off, dst, rk.now())
-                                }
-                            })?;
-                            done = done.max(t);
-                            read += len;
-                            rank.stats.io_reads += 1;
-                            rank.stats.io_read_bytes += len;
-                        }
-                        rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
-                        rank.trace_mark("ocio_read", Phase::Io, io_start, read);
-                        fill_responses(rank, &mut responses, &per_rank_reqs, ws, &wbuf);
-                    }
-                }
-            }
-            let answers = match session {
-                Some(s) => crate::reqagg::exchange_responses(rank, s, responses)?,
-                None => exchange(rank, cfg, responses)?,
-            };
-            scatter_answers(buf, &doms, nprocs, &fill_plan, &answers);
-        }
-        rank.barrier()?;
-        return Ok(());
-    }
-
-    // Pipelined rounds: the aggregator submits round r's window read as a
-    // deferred handle, runs round r+1's *request* exchange while the OSTs
-    // service it, then settles the handle and answers round r. The first
-    // round's requests are exchanged before the loop.
-    struct PendingRead {
-        ws: u64,
-        wbuf: Vec<u8>,
-        per_rank_reqs: Vec<Vec<(u64, u64)>>,
-        handle: mpisim::DeferredIo,
-        _cb: mpisim::MemGuard,
-    }
-    let (req0, fill0) = build_round(0);
-    let (mut incoming, mut session) = if reqagg {
-        let (inc, s) = crate::reqagg::exchange_requests(rank, &doms.agg_ranks, req0)?;
-        (inc, Some(s))
-    } else {
-        (exchange(rank, cfg, req0)?, None)
-    };
-    let mut fill = fill0;
-    for r in 0..doms.rounds {
-        // Submit this round's window read (aggregators only). The PFS
-        // delivers the bytes into `wbuf` at submission; the completion
-        // time stays outstanding in the handle.
-        let mut pending: Option<PendingRead> = None;
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                let mut wanted = ExtentSet::new();
-                let mut per_rank_reqs: Vec<Vec<(u64, u64)>> = Vec::with_capacity(nprocs);
-                for payload in &incoming {
-                    let reqs = decode_requests(payload)?;
-                    for &(o, l) in &reqs {
-                        wanted.insert(o, l);
-                    }
-                    per_rank_reqs.push(reqs);
-                }
-                if !wanted.is_empty() {
-                    let win_len = (we - ws) as usize;
-                    let cb = rank.alloc(win_len as u64)?;
-                    rank.note_mem_peak();
-                    let mut wbuf = vec![0u8; win_len];
-                    let io_start = rank.now();
-                    let mut read = 0u64;
-                    let mut done = rank.now();
-                    if cfg.hedged_reads {
-                        file.pfs().hedge_scope_begin(rank.rank());
-                    }
-                    for &(off, len) in wanted.runs() {
-                        let at = (off - ws) as usize;
-                        let pfs = file.pfs().clone();
-                        let fid = file.file_id();
-                        let dst = &mut wbuf[at..at + len as usize];
-                        let t = crate::retry::pfs_retry(rank, |rk| {
-                            if cfg.hedged_reads {
-                                pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
-                            } else {
-                                pfs.read_at(fid, rk.rank(), off, dst, rk.now())
-                            }
-                        })?;
-                        done = done.max(t);
-                        read += len;
-                        rank.stats.io_reads += 1;
-                        rank.stats.io_read_bytes += len;
-                    }
-                    pending = Some(PendingRead {
-                        ws,
-                        wbuf,
-                        per_rank_reqs,
-                        handle: mpisim::DeferredIo {
-                            name: "ocio_read_pipe",
-                            submitted: io_start,
-                            done,
-                            bytes: read,
-                        },
-                        _cb: cb,
-                    });
-                }
-            }
-        }
-        // Prefetch round r+1's request exchange while the read is in
-        // flight.
-        let next = if r + 1 < doms.rounds {
-            let (reqs, fp) = build_round(r + 1);
-            let (inc, s) = if reqagg {
-                let (inc, s) = crate::reqagg::exchange_requests(rank, &doms.agg_ranks, reqs)?;
-                (inc, Some(s))
-            } else {
-                (exchange(rank, cfg, reqs)?, None)
-            };
-            Some((inc, s, fp))
-        } else {
-            None
-        };
-        // Settle the read, then build and exchange this round's answers.
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        if let Some(p) = pending {
-            rank.io_complete(p.handle);
-            fill_responses(rank, &mut responses, &p.per_rank_reqs, p.ws, &p.wbuf);
-        }
-        let answers = match session.take() {
-            Some(s) => crate::reqagg::exchange_responses(rank, s, responses)?,
-            None => exchange(rank, cfg, responses)?,
-        };
-        scatter_answers(buf, &doms, nprocs, &fill, &answers);
-        if let Some((inc, s, fp)) = next {
-            incoming = inc;
-            session = s;
-            fill = fp;
-        }
-    }
-    rank.barrier()?;
-    Ok(())
-}
-
-/// Per destination rank, the `(buf_cursor, len)` slots a round's read
-/// responses will fill, in request order.
-type FillPlan = Vec<Vec<(usize, usize)>>;
-
-/// Slice each source's requested extents out of the window buffer, in
-/// request order (the order the source's scatter plan expects).
-fn fill_responses(
-    rank: &mut Rank,
-    responses: &mut [Vec<u8>],
-    per_rank_reqs: &[Vec<(u64, u64)>],
-    ws: u64,
-    wbuf: &[u8],
-) {
-    for (src, reqs) in per_rank_reqs.iter().enumerate() {
-        if reqs.is_empty() {
-            continue;
-        }
-        let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
-        let mut resp = Vec::with_capacity(total as usize);
-        for &(off, len) in reqs {
-            let at = (off - ws) as usize;
-            resp.extend_from_slice(&wbuf[at..at + len as usize]);
-        }
-        rank.charge_memcpy(total);
-        responses[src] = resp;
-    }
-}
-
-/// Scatter exchanged answers into the caller's buffer per the fill plan.
-fn scatter_answers(
-    buf: &mut [u8],
-    doms: &Domains,
-    nprocs: usize,
-    fill_plan: &[Vec<(usize, usize)>],
-    answers: &[Vec<u8>],
-) {
-    for i in 0..doms.naggs {
-        let a = doms.agg_rank(i, nprocs);
-        let plan = &fill_plan[a];
-        if plan.is_empty() {
-            continue;
-        }
-        let payload = &answers[a];
-        let mut pos = 0usize;
-        for &(cursor, len) in plan {
-            buf[cursor..cursor + len].copy_from_slice(&payload[pos..pos + len]);
-            pos += len;
-        }
-        debug_assert_eq!(pos, payload.len());
-    }
+    classic(rank, cfg, ["ocio_read", "ocio_read_pipe"]).read(rank, file, file.view(), offset, buf)
 }
 
 #[cfg(test)]
@@ -730,23 +120,6 @@ mod tests {
             IoError::Mpi(m) => m,
             other => mpisim::MpiError::InvalidDatatype(other.to_string()),
         }
-    }
-
-    #[test]
-    fn codec_roundtrip() {
-        let a = [1u8, 2, 3];
-        let b = [9u8];
-        let enc = encode_pieces(&[(10, &a), (99, &b)]);
-        let dec = decode_pieces(&enc).unwrap();
-        assert_eq!(dec.len(), 2);
-        assert_eq!(dec[0], (10, &a[..]));
-        assert_eq!(dec[1], (99, &b[..]));
-        assert!(decode_pieces(&[1, 2]).is_err());
-
-        let reqs = [(5u64, 7u64), (100, 1)];
-        let enc = encode_requests(&reqs);
-        assert_eq!(decode_requests(&enc).unwrap(), reqs.to_vec());
-        assert!(decode_requests(&[0, 0]).is_err());
     }
 
     fn run_interleaved(
@@ -1094,7 +467,7 @@ mod tests {
                 ..Default::default()
             };
             let r = rk.rank() as u64;
-            let doms = compute_domains(rk, r * 10, r * 10 + 10, &cfg)
+            let doms = crate::engine::compute_domains(rk, Scope::World, r * 10, r * 10 + 10, &cfg)
                 .map_err(to_mpi)?
                 .unwrap();
             Ok(doms.agg_ranks)

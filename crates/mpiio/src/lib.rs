@@ -15,6 +15,7 @@
 //! See `DESIGN.md` at the repository root for the experiment map.
 
 pub mod collective;
+mod engine;
 pub mod error;
 pub mod extents;
 pub mod file;

@@ -9,67 +9,25 @@
 //! `G²` per group instead of `P²` globally, and no global synchronization
 //! happens at all.
 //!
-//! [`write_all_partitioned`] runs the two-phase algorithm scoped to a
-//! [`mpisim::SubComm`]: group-local domain agreement, group-local burst
-//! exchange, group-local aggregators. It is most effective when each
-//! group's data is clustered in the file (ParColl's "file domain
-//! partitioning"); with fully interleaved data it still works, but
-//! aggregator runs fragment.
+//! [`write_all_partitioned`] runs the crate's two-phase `engine`
+//! scoped to a [`mpisim::SubComm`]: group-local domain agreement,
+//! group-local burst exchange, group-local aggregators at the evenly
+//! spread `i·g/naggs` group ranks. It is most effective when each group's
+//! data is clustered in the file (ParColl's "file domain partitioning");
+//! with fully interleaved data it still works, but aggregator runs
+//! fragment.
 
 use crate::collective::CollectiveConfig;
+use crate::engine::{Encoding, Engine, Scope};
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
 use crate::file::File;
-use mpisim::{Rank, ReduceOp, SubComm};
-
-/// Serialize pieces as in the two-phase exchange (offset, len, bytes).
-fn encode_pieces(pieces: &[(u64, &[u8])]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + pieces.len() * 12);
-    out.extend_from_slice(&(pieces.len() as u32).to_le_bytes());
-    for (off, d) in pieces {
-        out.extend_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&(d.len() as u32).to_le_bytes());
-    }
-    for (_, d) in pieces {
-        out.extend_from_slice(d);
-    }
-    out
-}
-
-fn decode_pieces(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
-    if buf.is_empty() {
-        return Ok(Vec::new());
-    }
-    let bad = || IoError::Usage("malformed partitioned-exchange payload".into());
-    if buf.len() < 4 {
-        return Err(bad());
-    }
-    let n = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    let mut meta = Vec::with_capacity(n);
-    let mut pos = 4usize;
-    for _ in 0..n {
-        if pos + 12 > buf.len() {
-            return Err(bad());
-        }
-        let off = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-        let len = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().unwrap()) as usize;
-        meta.push((off, len));
-        pos += 12;
-    }
-    let mut out = Vec::with_capacity(n);
-    for (off, len) in meta {
-        if pos + len > buf.len() {
-            return Err(bad());
-        }
-        out.push((off, &buf[pos..pos + len]));
-        pos += len;
-    }
-    Ok(out)
-}
+use mpisim::{Rank, SubComm};
 
 /// Partitioned collective write: every member of `comm` calls with its own
 /// (possibly empty) data at a view-stream `offset`. Different groups
-/// proceed completely independently — no global synchronization.
+/// proceed completely independently — no global synchronization. The
+/// group exchange has no semantic-merge variant, so `req_agg` means
+/// `intra_agg` here.
 pub fn write_all_partitioned(
     rank: &mut Rank,
     file: &mut File,
@@ -81,144 +39,13 @@ pub fn write_all_partitioned(
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
     }
-    let g = comm.size();
-    let extents = file.view().map_range(offset, data.len() as u64);
-    let mut cursors = Vec::with_capacity(extents.len());
-    let mut acc = 0u64;
-    for &(_, len) in &extents {
-        cursors.push(acc);
-        acc += len;
-    }
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    // Group-local domain agreement.
-    let gmin = rank.allreduce_u64_in(comm, local_min, ReduceOp::Min)?;
-    let gmax = rank.allreduce_u64_in(comm, local_max, ReduceOp::Max)?;
-    if gmin >= gmax {
-        rank.barrier_in(comm)?;
-        return Ok(());
-    }
-    let naggs = cfg.cb_nodes.unwrap_or(g).clamp(1, g);
-    let mut dsize = (gmax - gmin).div_ceil(naggs as u64);
-    if let Some(a) = cfg.align {
-        if a > 0 {
-            dsize = dsize.div_ceil(a) * a;
-        }
-    }
-    // ROMIO-style chunking: cb_buffer bounds the per-round collective
-    // buffer, turning the group exchange into multiple rounds (one round
-    // over the whole domain when unset — the historical behaviour).
-    let round_size = cfg.cb_buffer.unwrap_or(dsize).max(1).min(dsize);
-    let rounds = dsize.div_ceil(round_size);
-    // Aggregator i (a group index) owns [gmin + i·dsize, …).
-    let agg_index_of =
-        |grank: usize| -> Option<usize> { (0..naggs).find(|&i| i * g / naggs == grank) };
-    let window = |i: usize, r: u64| -> (u64, u64) {
-        let ds = gmin + i as u64 * dsize;
-        let de = (ds + dsize).min(gmax);
-        let ws = ds + r * round_size;
-        let we = (ws + round_size).min(de);
-        (ws.min(de), we)
+    let engine = Engine {
+        scope: Scope::Group(comm),
+        enc: Encoding::Extents,
+        cfg,
+        sites: ["par_io", "par_io_pipe"],
     };
-
-    // Deferred completions of in-flight rounds (pipelined mode only).
-    let mut inflight: std::collections::VecDeque<(mpisim::DeferredIo, mpisim::MemGuard)> =
-        std::collections::VecDeque::new();
-
-    for r in 0..rounds {
-        // Double buffering: settle the oldest in-flight write before
-        // opening this round's exchange.
-        while inflight.len() >= 2 {
-            let (h, _cb) = inflight.pop_front().expect("non-empty inflight");
-            rank.io_complete(h);
-        }
-        // Exchange phase, scoped to the group.
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); g];
-        for i in 0..naggs {
-            let (ws, we) = window(i, r);
-            if ws >= we {
-                continue;
-            }
-            let mut pieces: Vec<(u64, &[u8])> = Vec::new();
-            for (k, &(eoff, elen)) in extents.iter().enumerate() {
-                let s = eoff.max(ws);
-                let e = (eoff + elen).min(we);
-                if s < e {
-                    let dstart = (cursors[k] + (s - eoff)) as usize;
-                    pieces.push((s, &data[dstart..dstart + (e - s) as usize]));
-                }
-            }
-            if !pieces.is_empty() {
-                payloads[i * g / naggs] = encode_pieces(&pieces);
-            }
-        }
-        // Group-scoped burst, optionally two-level (node leaders only
-        // cross nodes) when the config asks for intra-node aggregation.
-        // `req_agg` rides the same two-level path here: the sub-communicator
-        // exchange has no semantic-merge variant.
-        let exchanged = if cfg.intra_agg || cfg.req_agg {
-            rank.alltoallv_burst_hier_in(comm, payloads)?
-        } else {
-            rank.alltoallv_burst_in(comm, payloads)?
-        };
-
-        // I/O phase (group aggregators only).
-        if let Some(i) = agg_index_of(comm.group_rank()) {
-            let (ws, we) = window(i, r);
-            if ws < we {
-                let win_len = (we - ws) as usize;
-                let cb = rank.alloc(win_len as u64)?;
-                rank.note_mem_peak();
-                let mut buf = vec![0u8; win_len];
-                let mut dirty = ExtentSet::new();
-                for payload in &exchanged {
-                    for (off, bytes) in decode_pieces(payload)? {
-                        let at = (off - ws) as usize;
-                        buf[at..at + bytes.len()].copy_from_slice(bytes);
-                        rank.charge_memcpy(bytes.len() as u64);
-                        dirty.insert(off, bytes.len() as u64);
-                    }
-                }
-                let pfs = file.pfs().clone();
-                let fid = file.file_id();
-                let io_start = rank.now();
-                let mut written = 0u64;
-                let mut done = rank.now();
-                for &(off, len) in dirty.runs() {
-                    let at = (off - ws) as usize;
-                    let slice = &buf[at..at + len as usize];
-                    let t = crate::retry::pfs_retry(rank, |rk| {
-                        pfs.write_at(fid, rk.rank(), off, slice, rk.now())
-                    })?;
-                    done = done.max(t);
-                    written += len;
-                    rank.stats.io_writes += 1;
-                    rank.stats.io_write_bytes += len;
-                }
-                if cfg.pipeline {
-                    inflight.push_back((
-                        mpisim::DeferredIo {
-                            name: "par_io_pipe",
-                            submitted: io_start,
-                            done,
-                            bytes: written,
-                        },
-                        cb,
-                    ));
-                } else {
-                    drop(cb);
-                    rank.sync_to(done);
-                }
-            }
-        }
-    }
-    // Drain the pipeline before the closing group barrier.
-    while let Some((h, _cb)) = inflight.pop_front() {
-        rank.io_complete(h);
-    }
-    rank.barrier_in(comm)?;
-    Ok(())
+    engine.write(rank, file, file.view(), offset, data)
 }
 
 #[cfg(test)]

@@ -17,7 +17,8 @@
 //!    (shared-memory links; `TAG_RA_LOCAL`, one message per on-node
 //!    aggregator, empty allowed so receives match on `(src, tag)`);
 //! 2. non-leader members pack their *off-node* lists into one up-blob for
-//!    the node leader — `(agg u32, len u32, bytes)*` (`TAG_RA_UP`);
+//!    the node leader — `(agg u32, len u32, bytes)*` (`TAG_RA_UP`,
+//!    [`push_entry`] / [`decode_blob`]);
 //! 3. the leader decodes member lists per off-node aggregator in ascending
 //!    member order (later members overwrite on overlap — the same
 //!    index-order the flat burst applies), coalesces adjacent extents, and
@@ -29,13 +30,12 @@
 //! rank-indexed `Vec<Vec<u8>>` the two-phase code already consumes, with
 //! the merged list sitting at the *leader's* rank index.
 //!
-//! Reads run the same shape twice: [`exchange_requests`] merges request
-//! lists uphill (the leader unions them into sorted, coalesced runs —
-//! [`ExtentSet`] — and remembers each member's original list in a
-//! [`ReadSession`]), then [`exchange_responses`] routes the aggregator's
-//! run-ordered response bytes back down, the leader slicing each member's
-//! requested extents out of the merged runs (`TAG_RA_DOWN` down-blob:
-//! `(agg u32, len u32, bytes)*`).
+//! Reads run the same uphill leg ([`uphill`]) with request lists: the
+//! leader unions them into sorted, coalesced runs ([`ExtentSet`]) and
+//! remembers each member's original list in a [`ReadSession`]; then
+//! [`exchange_responses`] routes the aggregator's run-ordered response
+//! bytes back down, the leader slicing each member's requested extents out
+//! of the merged runs (`TAG_RA_DOWN` down-blob, same entry format).
 //!
 //! Ordering semantics: concurrent collective writes to the *same* file
 //! byte are undefined in MPI-IO. Within a node the merge preserves the
@@ -45,8 +45,8 @@
 //! case — are bit-identical to the flat burst, which is what the
 //! differential suite pins.
 
-use crate::collective::{decode_pieces, decode_requests, encode_pieces, encode_requests};
-use crate::error::Result;
+use crate::engine::{decode_pieces, decode_requests, encode_pieces, encode_requests};
+use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use mpisim::{MpiError, Phase, Rank, Tag};
 use std::collections::BTreeMap;
@@ -61,14 +61,32 @@ const TAG_RA_RESP_LOCAL: Tag = 0x5241_0004;
 const TAG_RA_RESP_X: Tag = 0x5241_0005;
 const TAG_RA_DOWN: Tag = 0x5241_0006;
 
-fn push_u32(buf: &mut Vec<u8>, v: usize) {
-    buf.extend_from_slice(&(v as u32).to_le_bytes());
+/// Append one `(agg u32, len u32, bytes)` entry to an up/down blob.
+fn push_entry(blob: &mut Vec<u8>, agg: usize, bytes: &[u8]) {
+    blob.extend_from_slice(&(agg as u32).to_le_bytes());
+    blob.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    blob.extend_from_slice(bytes);
 }
 
-fn read_u32(buf: &[u8], pos: &mut usize) -> usize {
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("u32 header")) as usize;
-    *pos += 4;
-    v
+/// Decode an up/down blob into `(agg, bytes)` entries, rejecting
+/// truncated entries and aggregator ranks outside the communicator.
+fn decode_blob(blob: &[u8], nprocs: usize) -> Result<Vec<(usize, &[u8])>> {
+    let bad = || IoError::Usage("malformed request-aggregation blob".into());
+    let u32_at = |b: &[u8], at: usize| -> Option<usize> {
+        Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?) as usize)
+    };
+    let mut rest = blob;
+    let mut out = Vec::new();
+    while !rest.is_empty() {
+        let (agg, len) = u32_at(rest, 0).zip(u32_at(rest, 4)).ok_or_else(bad)?;
+        let bytes = rest[8..]
+            .get(..len)
+            .filter(|_| agg < nprocs)
+            .ok_or_else(bad)?;
+        out.push((agg, bytes));
+        rest = &rest[8 + len..];
+    }
+    Ok(out)
 }
 
 /// Receive from a fixed `(src, tag)`, treating a crashed peer as an empty
@@ -218,240 +236,166 @@ impl PieceMap {
     }
 }
 
-/// The write-side aggregated exchange. `payloads` is indexed by world rank
+/// The uphill leg both aggregated exchanges share. On-node lists go
+/// directly; off-node lists ride one up-blob to the node leader, which
+/// hands `merge` each off-node aggregator's member lists (ascending member
+/// rank) and sends it the result. `lists` is indexed by world rank
 /// (non-empty only at aggregator ranks); the result is indexed by source
-/// rank like the flat burst, with each node's merged off-node list at its
-/// leader's index.
-pub(crate) fn exchange_pieces(
+/// rank like the flat burst, with each node's merged list at its leader's
+/// index.
+fn uphill(
     rank: &mut Rank,
-    agg_ranks: &[usize],
-    mut payloads: Vec<Vec<u8>>,
+    plan: &RaPlan,
+    mut lists: Vec<Vec<u8>>,
+    span: &'static str,
+    mut merge: impl FnMut(&mut Rank, usize, BTreeMap<usize, Vec<u8>>) -> Result<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
-    let plan = make_plan(rank, agg_ranks)?;
     let start = rank.now();
-    let total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
+    let total: u64 = lists.iter().map(|p| p.len() as u64).sum();
     let me = plan.me;
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); plan.nprocs];
     if plan.i_am_agg() {
-        out[me] = std::mem::take(&mut payloads[me]);
+        out[me] = std::mem::take(&mut lists[me]);
     }
     let mut sends = Vec::new();
-    // On-node piece lists go directly over the shared-memory links.
+    // On-node lists go directly over the shared-memory links.
     for &a in &plan.on_node_aggs {
-        let p = std::mem::take(&mut payloads[a]);
+        let p = std::mem::take(&mut lists[a]);
         sends.push(rank.isend(a, TAG_RA_LOCAL, &p)?);
     }
     if me != plan.my_leader {
+        // One up-blob carries all non-empty off-node lists.
         let mut up = Vec::new();
         for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut payloads[a]);
+            let p = std::mem::take(&mut lists[a]);
             if !p.is_empty() {
-                push_u32(&mut up, a);
-                push_u32(&mut up, p.len());
-                up.extend_from_slice(&p);
+                push_entry(&mut up, a, &p);
             }
         }
         sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
     } else {
-        // Leader: member lists per off-node aggregator, keyed by member
-        // rank so the merge applies them in ascending rank order.
+        // Member lists per off-node aggregator, keyed by member rank.
         let mut contrib: BTreeMap<usize, BTreeMap<usize, Vec<u8>>> = BTreeMap::new();
         for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut payloads[a]);
+            let p = std::mem::take(&mut lists[a]);
             if !p.is_empty() {
                 contrib.entry(a).or_default().insert(me, p);
             }
         }
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for &p in plan.my_peers.iter().filter(|&&p| p != me) {
             let up = recv_or_empty(rank, p, TAG_RA_UP)?;
-            let mut pos = 0;
-            while pos < up.len() {
-                let a = read_u32(&up, &mut pos);
-                let len = read_u32(&up, &mut pos);
-                contrib
-                    .entry(a)
-                    .or_default()
-                    .insert(p, up[pos..pos + len].to_vec());
-                pos += len;
+            for (a, bytes) in decode_blob(&up, plan.nprocs)? {
+                contrib.entry(a).or_default().insert(p, bytes.to_vec());
             }
         }
         for &a in &plan.off_node_aggs {
             let merged = match contrib.remove(&a) {
-                Some(lists) => {
-                    let mut map = PieceMap::default();
-                    let mut moved = 0u64;
-                    for blob in lists.values() {
-                        for (off, bytes) in decode_pieces(blob)? {
-                            map.insert(off, bytes);
-                            moved += bytes.len() as u64;
-                        }
-                    }
-                    rank.charge_memcpy(moved);
-                    map.encode()
-                }
+                Some(members) => merge(rank, a, members)?,
                 None => Vec::new(),
             };
             sends.push(rank.isend(a, TAG_RA_XNODE, &merged)?);
         }
     }
     if plan.i_am_agg() {
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for &p in plan.my_peers.iter().filter(|&&p| p != me) {
             out[p] = recv_or_empty(rank, p, TAG_RA_LOCAL)?;
         }
         for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
+            if node != plan.my_node {
+                out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
             }
-            out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
         }
     }
     rank.waitall(sends)?;
-    rank.trace_mark("reqagg_pieces", Phase::Exchange, start, total);
+    rank.trace_mark(span, Phase::Exchange, start, total);
     Ok(out)
+}
+
+/// The write-side aggregated exchange: the leader merges member piece
+/// lists with [`PieceMap`] (later members overwrite on overlap).
+pub(crate) fn exchange_pieces(
+    rank: &mut Rank,
+    agg_ranks: &[usize],
+    payloads: Vec<Vec<u8>>,
+) -> Result<Vec<Vec<u8>>> {
+    let plan = make_plan(rank, agg_ranks)?;
+    uphill(
+        rank,
+        &plan,
+        payloads,
+        "reqagg_pieces",
+        |rank, _, members| {
+            let mut map = PieceMap::default();
+            let mut moved = 0u64;
+            for blob in members.values() {
+                for (off, bytes) in decode_pieces(blob)? {
+                    map.insert(off, bytes);
+                    moved += bytes.len() as u64;
+                }
+            }
+            rank.charge_memcpy(moved);
+            Ok(map.encode())
+        },
+    )
 }
 
 /// State carried from the request leg to the response leg of an
 /// aggregated collective read round.
 pub(crate) struct ReadSession {
     plan: RaPlan,
-    /// Leader only: agg rank → the merged, sorted, coalesced runs sent to
-    /// that aggregator (the order its response bytes come back in).
-    merged: BTreeMap<usize, Vec<(u64, u64)>>,
-    /// Leader only: agg rank → member rank → that member's original
-    /// request list (the slice order its scatter plan expects).
-    member_reqs: BTreeMap<usize, BTreeMap<usize, Vec<(u64, u64)>>>,
+    /// Leader only, per off-node agg rank: the merged, sorted, coalesced
+    /// runs sent to it (the order its response bytes come back in), and
+    /// each member's original request list (the slice order the member's
+    /// scatter plan expects).
+    merged: BTreeMap<usize, (Vec<(u64, u64)>, MemberLists)>,
 }
 
-/// The read-side request leg: like [`exchange_pieces`] but merging
-/// offset–length request lists via extent union. Returns the rank-indexed
-/// incoming requests (for aggregators) plus the [`ReadSession`] the
-/// response leg needs.
+/// Member rank → that member's request list.
+type MemberLists = BTreeMap<usize, Vec<(u64, u64)>>;
+
+/// The read-side request leg: the leader merges member request lists by
+/// extent union. Returns the rank-indexed incoming requests (for
+/// aggregators) plus the [`ReadSession`] the response leg needs.
 pub(crate) fn exchange_requests(
     rank: &mut Rank,
     agg_ranks: &[usize],
-    mut requests: Vec<Vec<u8>>,
+    requests: Vec<Vec<u8>>,
 ) -> Result<(Vec<Vec<u8>>, ReadSession)> {
     let plan = make_plan(rank, agg_ranks)?;
-    let start = rank.now();
-    let total: u64 = requests.iter().map(|p| p.len() as u64).sum();
-    let me = plan.me;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); plan.nprocs];
-    if plan.i_am_agg() {
-        out[me] = std::mem::take(&mut requests[me]);
-    }
-    let mut merged: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
-    let mut member_reqs: BTreeMap<usize, BTreeMap<usize, Vec<(u64, u64)>>> = BTreeMap::new();
-    let mut sends = Vec::new();
-    for &a in &plan.on_node_aggs {
-        let p = std::mem::take(&mut requests[a]);
-        sends.push(rank.isend(a, TAG_RA_LOCAL, &p)?);
-    }
-    if me != plan.my_leader {
-        let mut up = Vec::new();
-        for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut requests[a]);
-            if !p.is_empty() {
-                push_u32(&mut up, a);
-                push_u32(&mut up, p.len());
-                up.extend_from_slice(&p);
+    let mut merged = BTreeMap::new();
+    let out = uphill(rank, &plan, requests, "reqagg_reads", |_, a, members| {
+        let mut union = ExtentSet::new();
+        let mut reqs = BTreeMap::new();
+        for (m, blob) in members {
+            let list = decode_requests(&blob)?;
+            for &(o, l) in &list {
+                union.insert(o, l);
             }
+            reqs.insert(m, list);
         }
-        sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
-    } else {
-        for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut requests[a]);
-            if !p.is_empty() {
-                member_reqs
-                    .entry(a)
-                    .or_default()
-                    .insert(me, decode_requests(&p)?);
-            }
-        }
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
-            let up = recv_or_empty(rank, p, TAG_RA_UP)?;
-            let mut pos = 0;
-            while pos < up.len() {
-                let a = read_u32(&up, &mut pos);
-                let len = read_u32(&up, &mut pos);
-                let reqs = decode_requests(&up[pos..pos + len])?;
-                member_reqs.entry(a).or_default().insert(p, reqs);
-                pos += len;
-            }
-        }
-        for &a in &plan.off_node_aggs {
-            let enc = match member_reqs.get(&a) {
-                Some(lists) => {
-                    let mut union = ExtentSet::new();
-                    for reqs in lists.values() {
-                        for &(o, l) in reqs {
-                            union.insert(o, l);
-                        }
-                    }
-                    let runs = union.runs().to_vec();
-                    let enc = encode_requests(&runs);
-                    merged.insert(a, runs);
-                    enc
-                }
-                None => Vec::new(),
-            };
-            sends.push(rank.isend(a, TAG_RA_XNODE, &enc)?);
-        }
-    }
-    if plan.i_am_agg() {
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
-            out[p] = recv_or_empty(rank, p, TAG_RA_LOCAL)?;
-        }
-        for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
-            }
-            out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
-        }
-    }
-    rank.waitall(sends)?;
-    rank.trace_mark("reqagg_reads", Phase::Exchange, start, total);
-    Ok((
-        out,
-        ReadSession {
-            plan,
-            merged,
-            member_reqs,
-        },
-    ))
+        let runs = union.runs().to_vec();
+        let enc = encode_requests(&runs);
+        merged.insert(a, (runs, reqs));
+        Ok(enc)
+    })?;
+    Ok((out, ReadSession { plan, merged }))
 }
 
 /// Slice one member's requested extents out of a merged run-ordered
 /// response blob. Each request lies wholly inside one merged run (the
-/// union covers it contiguously), so a prefix-sum lookup suffices.
+/// union covers it contiguously), so a prefix-sum lookup suffices; bytes
+/// the blob does not hold read as zeros.
 fn slice_member(runs: &[(u64, u64)], prefix: &[u64], blob: &[u8], reqs: &[(u64, u64)]) -> Vec<u8> {
     let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
     let mut out = Vec::with_capacity(total as usize);
     for &(off, len) in reqs {
-        let idx = runs.partition_point(|&(o, _)| o <= off) - 1;
-        let (ro, rl) = runs[idx];
-        debug_assert!(
-            off >= ro && off + len <= ro + rl,
-            "request outside merged run"
-        );
-        let at = (prefix[idx] + (off - ro)) as usize;
+        let idx = runs.partition_point(|&(o, _)| o <= off).checked_sub(1);
+        let at = idx.map(|i| (prefix[i] + (off - runs[i].0)) as usize);
         // A crashed aggregator yields an empty blob; leave zeros rather
         // than slicing past the end (mirrors the flat burst's contract).
-        if at + len as usize <= blob.len() {
-            out.extend_from_slice(&blob[at..at + len as usize]);
-        } else {
-            out.resize(out.len() + len as usize, 0);
+        match at.and_then(|at| blob.get(at..at + len as usize)) {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => out.resize(out.len() + len as usize, 0),
         }
     }
     out
@@ -466,11 +410,7 @@ pub(crate) fn exchange_responses(
     session: ReadSession,
     mut responses: Vec<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
-    let ReadSession {
-        plan,
-        merged,
-        member_reqs,
-    } = session;
+    let ReadSession { plan, merged } = session;
     let start = rank.now();
     let total: u64 = responses.iter().map(|p| p.len() as u64).sum();
     let me = plan.me;
@@ -481,19 +421,15 @@ pub(crate) fn exchange_responses(
         // Answer node peers directly, and every other node's leader with
         // the merged-run-ordered bytes. One message per destination, empty
         // allowed, so receives match on (src, tag).
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for &p in plan.my_peers.iter().filter(|&&p| p != me) {
             let r = std::mem::take(&mut responses[p]);
             sends.push(rank.isend(p, TAG_RA_RESP_LOCAL, &r)?);
         }
         for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
+            if node != plan.my_node {
+                let r = std::mem::take(&mut responses[l]);
+                sends.push(rank.isend(l, TAG_RA_RESP_X, &r)?);
             }
-            let r = std::mem::take(&mut responses[l]);
-            sends.push(rank.isend(l, TAG_RA_RESP_X, &r)?);
         }
     }
     for &a in &plan.on_node_aggs {
@@ -505,46 +441,31 @@ pub(crate) fn exchange_responses(
         let mut moved = 0u64;
         for &a in &plan.off_node_aggs {
             let blob = recv_or_empty(rank, a, TAG_RA_RESP_X)?;
-            let Some(runs) = merged.get(&a) else {
+            let Some((runs, lists)) = merged.get(&a) else {
                 continue;
             };
-            let mut prefix = Vec::with_capacity(runs.len());
-            let mut acc = 0u64;
-            for &(_, l) in runs {
-                prefix.push(acc);
-                acc += l;
-            }
-            if let Some(lists) = member_reqs.get(&a) {
-                for (&m, reqs) in lists {
-                    let bytes = slice_member(runs, &prefix, &blob, reqs);
-                    moved += bytes.len() as u64;
-                    if m == me {
-                        answers[a] = bytes;
-                    } else {
-                        let blob = down.entry(m).or_default();
-                        push_u32(blob, a);
-                        push_u32(blob, bytes.len());
-                        blob.extend_from_slice(&bytes);
-                    }
+            let prefix: Vec<u64> = (runs.iter())
+                .scan(0, |acc, &(_, l)| Some(std::mem::replace(acc, *acc + l)))
+                .collect();
+            for (&m, reqs) in lists {
+                let bytes = slice_member(runs, &prefix, &blob, reqs);
+                moved += bytes.len() as u64;
+                if m == me {
+                    answers[a] = bytes;
+                } else {
+                    push_entry(down.entry(m).or_default(), a, &bytes);
                 }
             }
         }
         rank.charge_memcpy(moved);
-        for &m in &plan.my_peers {
-            if m == me {
-                continue;
-            }
+        for &m in plan.my_peers.iter().filter(|&&m| m != me) {
             let blob = down.remove(&m).unwrap_or_default();
             sends.push(rank.isend(m, TAG_RA_DOWN, &blob)?);
         }
     } else {
         let down = recv_or_empty(rank, plan.my_leader, TAG_RA_DOWN)?;
-        let mut pos = 0;
-        while pos < down.len() {
-            let a = read_u32(&down, &mut pos);
-            let len = read_u32(&down, &mut pos);
-            answers[a] = down[pos..pos + len].to_vec();
-            pos += len;
+        for (a, bytes) in decode_blob(&down, plan.nprocs)? {
+            answers[a] = bytes.to_vec();
         }
     }
     rank.waitall(sends)?;
@@ -624,5 +545,39 @@ mod tests {
         let prefix = vec![0u64];
         let got = slice_member(&runs, &prefix, &[], &[(0, 4)]);
         assert_eq!(got, vec![0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn blob_entries_roundtrip() {
+        let mut blob = Vec::new();
+        push_entry(&mut blob, 3, &[7, 8, 9]);
+        push_entry(&mut blob, 0, &[]);
+        let got = decode_blob(&blob, 4).unwrap();
+        assert_eq!(got, vec![(3, &[7u8, 8, 9][..]), (0, &[][..])]);
+        assert!(decode_blob(&[], 4).unwrap().is_empty());
+    }
+
+    #[test]
+    fn hostile_blobs_are_typed_errors() {
+        let mut blob = Vec::new();
+        push_entry(&mut blob, 1, &[1, 2, 3, 4]);
+        // Every truncation of a valid blob, including mid-header.
+        for cut in 1..blob.len() {
+            assert!(decode_blob(&blob[..cut], 4).is_err(), "cut at {cut}");
+        }
+        // An aggregator rank outside the communicator.
+        assert!(decode_blob(&blob, 1).is_err());
+        // A length field claiming far more bytes than the blob holds.
+        let mut huge = Vec::new();
+        huge.extend_from_slice(&0u32.to_le_bytes());
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_blob(&huge, 4).is_err());
+    }
+
+    #[test]
+    fn slice_member_zero_fills_requests_outside_every_run() {
+        let runs = vec![(10u64, 4u64)];
+        let got = slice_member(&runs, &[0], &[1, 2, 3, 4], &[(2, 3), (12, 2)]);
+        assert_eq!(got, vec![0, 0, 0, 3, 4]);
     }
 }

@@ -4,21 +4,23 @@
 //! The two-phase exchange ships an *offset/length list alongside every
 //! data piece* on every collective call. View-based collective I/O
 //! registers each rank's **file view** at the aggregators once, at
-//! view-declaration time; a collective write then sends only
-//! `(stream position, raw bytes)` per aggregator — the aggregator
-//! reconstructs the file placement from the stored view. This reduces
-//! per-call metadata ("the cost of data scatter-gather operations and
-//! file metadata transfer") at the price of keeping P views per
-//! aggregator.
+//! view-declaration time; a collective call then sends only
+//! `(stream position, length)` per aggregator (plus the raw bytes on a
+//! write) — the aggregator reconstructs the file placement from the
+//! stored view. This reduces per-call metadata ("the cost of data
+//! scatter-gather operations and file metadata transfer") at the price of
+//! keeping P views per aggregator.
 //!
 //! A key property makes the sender side cheap: file views are monotone, so
 //! the set of a rank's stream bytes that lands inside an aggregator's file
 //! domain is a *single contiguous stream interval* — one header per
-//! aggregator, regardless of how fragmented the file extents are.
+//! aggregator, regardless of how fragmented the file extents are. The
+//! rounds are the crate's shared two-phase `engine` under its view
+//! encoding.
 
-use crate::collective::{compute_domains, exchange, CollectiveConfig};
+use crate::collective::CollectiveConfig;
+use crate::engine::{Encoding, Engine, Scope};
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
 use crate::file::File;
 use crate::view::FileView;
 use mpisim::Rank;
@@ -41,6 +43,27 @@ pub fn register_views(rank: &mut Rank, file: &File) -> Result<RegisteredViews> {
     Ok(RegisteredViews { views })
 }
 
+/// The view-based front-end, after checking the registration matches the
+/// communicator. `req_agg` means `intra_agg` here.
+fn view_based<'a>(
+    rank: &Rank,
+    views: &'a RegisteredViews,
+    cfg: &'a CollectiveConfig,
+    sites: [&'static str; 2],
+) -> Result<Engine<'a>> {
+    if views.views.len() != rank.nprocs() {
+        return Err(IoError::Usage(
+            "registered views do not match the communicator".into(),
+        ));
+    }
+    Ok(Engine {
+        scope: Scope::World,
+        enc: Encoding::Views(&views.views),
+        cfg,
+        sites,
+    })
+}
+
 /// View-based collective write: all ranks call, each with its own data at
 /// a view-stream `offset`. Functionally identical to
 /// [`crate::write_all_at`]; the exchange carries one 16-byte header per
@@ -56,144 +79,17 @@ pub fn write_all_view_based(
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
     }
-    if views.views.len() != rank.nprocs() {
-        return Err(IoError::Usage(
-            "registered views do not match the communicator".into(),
-        ));
-    }
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let view = views.views[me].clone();
-    let extents = view.map_range(offset, data.len() as u64);
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
-    };
-    let my_agg = doms.my_agg_index(me, nprocs);
-
-    // Deferred completions of in-flight rounds (pipelined mode only); the
-    // collective-buffer guard rides along so both buffers stay charged.
-    let mut inflight: std::collections::VecDeque<(mpisim::DeferredIo, mpisim::MemGuard)> =
-        std::collections::VecDeque::new();
-
-    for r in 0..doms.rounds {
-        // Double buffering: settle the oldest in-flight write before
-        // opening this round's exchange.
-        while inflight.len() >= 2 {
-            let (h, _cb) = inflight.pop_front().expect("non-empty inflight");
-            rank.io_complete(h);
-        }
-        // Sender side: one contiguous stream interval per aggregator.
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
-            }
-            // Stream positions of the window boundaries under MY view.
-            let a_lo = view.stream_len_for_file(ws);
-            let a_hi = view.stream_len_for_file(we);
-            let lo = a_lo.max(offset);
-            let hi = a_hi.min(offset + data.len() as u64);
-            if lo >= hi {
-                continue;
-            }
-            let mut msg = Vec::with_capacity(16 + (hi - lo) as usize);
-            msg.extend_from_slice(&lo.to_le_bytes());
-            msg.extend_from_slice(&(hi - lo).to_le_bytes());
-            msg.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            payloads[doms.agg_rank(i, nprocs)] = msg;
-        }
-        let exchanged = exchange(rank, cfg, payloads)?;
-
-        // Aggregator side: reconstruct placement from the stored views.
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                let win_len = (we - ws) as usize;
-                let cb = rank.alloc(win_len as u64)?;
-                rank.note_mem_peak();
-                let mut buf = vec![0u8; win_len];
-                let mut dirty = ExtentSet::new();
-                for (src, payload) in exchanged.iter().enumerate() {
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    if payload.len() < 16 {
-                        return Err(IoError::Usage("malformed view-based payload".into()));
-                    }
-                    let stream_lo = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                    let len = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                    if payload.len() as u64 != 16 + len {
-                        return Err(IoError::Usage("view-based payload length mismatch".into()));
-                    }
-                    let bytes = &payload[16..];
-                    let mut cursor = 0usize;
-                    for (foff, flen) in views.views[src].map_range(stream_lo, len) {
-                        debug_assert!(foff >= ws && foff + flen <= we, "view maps outside domain");
-                        let at = (foff - ws) as usize;
-                        buf[at..at + flen as usize]
-                            .copy_from_slice(&bytes[cursor..cursor + flen as usize]);
-                        cursor += flen as usize;
-                        dirty.insert(foff, flen);
-                    }
-                    rank.charge_memcpy(len);
-                }
-                let pfs = file.pfs().clone();
-                let fid = file.file_id();
-                let io_start = rank.now();
-                let mut written = 0u64;
-                let mut done = rank.now();
-                for &(off, len) in dirty.runs() {
-                    let at = (off - ws) as usize;
-                    let slice = &buf[at..at + len as usize];
-                    let t = crate::retry::pfs_retry(rank, |rk| {
-                        pfs.write_at(fid, rk.rank(), off, slice, rk.now())
-                    })?;
-                    done = done.max(t);
-                    written += len;
-                    rank.stats.io_writes += 1;
-                    rank.stats.io_write_bytes += len;
-                }
-                if cfg.pipeline {
-                    inflight.push_back((
-                        mpisim::DeferredIo {
-                            name: "vb_io_pipe",
-                            submitted: io_start,
-                            done,
-                            bytes: written,
-                        },
-                        cb,
-                    ));
-                } else {
-                    drop(cb);
-                    rank.sync_to(done);
-                }
-            }
-        }
-    }
-    // Drain the pipeline before the closing barrier.
-    while let Some((h, _cb)) = inflight.pop_front() {
-        rank.io_complete(h);
-    }
-    rank.barrier()?;
-    Ok(())
+    let engine = view_based(rank, views, cfg, ["vb_io", "vb_io_pipe"])?;
+    engine.write(rank, file, &views.views[rank.rank()], offset, data)
 }
 
-/// View-based collective read: the registered views replace the entire
-/// request-exchange phase of the two-phase read — each rank sends only a
-/// 16-byte `(stream position, length)` header per aggregator, and the
-/// aggregator derives both what to read from the file and how to slice the
-/// responses from the stored views.
-///
-/// `CollectiveConfig::pipeline` is a no-op here: the read has no separate
-/// request exchange to prefetch (the 16-byte headers *are* the request
-/// phase), so there is no round k+1 traffic to overlap with round k's OST
-/// service without reordering the response exchange the scatter depends
-/// on. The classic [`crate::read_all_at`] path pipelines reads.
+/// View-based collective read: the registered views shrink the request
+/// exchange of the two-phase read to one 16-byte `(stream position,
+/// length)` header per aggregator; the aggregator derives both what to
+/// read from the file and how to slice the responses from the stored
+/// views. Under `CollectiveConfig::pipeline` the header exchange of round
+/// k+1 is prefetched while the OSTs service round k, like any other
+/// request exchange.
 pub fn read_all_view_based(
     rank: &mut Rank,
     file: &mut File,
@@ -205,125 +101,8 @@ pub fn read_all_view_based(
     if !file.mode().readable() {
         return Err(IoError::Usage("file is not open for reading".into()));
     }
-    if views.views.len() != rank.nprocs() {
-        return Err(IoError::Usage(
-            "registered views do not match the communicator".into(),
-        ));
-    }
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let view = views.views[me].clone();
-    let extents = view.map_range(offset, buf.len() as u64);
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
-    };
-    let my_agg = doms.my_agg_index(me, nprocs);
-
-    for r in 0..doms.rounds {
-        // Phase 1: 16-byte interval headers only.
-        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        // Remember my own stream interval per aggregator to scatter replies.
-        let mut my_intervals: Vec<Option<(u64, u64)>> = vec![None; nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
-            }
-            let a_lo = view.stream_len_for_file(ws);
-            let a_hi = view.stream_len_for_file(we);
-            let lo = a_lo.max(offset);
-            let hi = a_hi.min(offset + buf.len() as u64);
-            if lo >= hi {
-                continue;
-            }
-            let a = doms.agg_rank(i, nprocs);
-            let mut msg = Vec::with_capacity(16);
-            msg.extend_from_slice(&lo.to_le_bytes());
-            msg.extend_from_slice(&(hi - lo).to_le_bytes());
-            requests[a] = msg;
-            my_intervals[a] = Some((lo, hi));
-        }
-        let incoming = exchange(rank, cfg, requests)?;
-
-        // Phase 2: aggregators read and answer from the stored views.
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                // Parse intervals; derive wanted file runs from the views.
-                let mut wanted = ExtentSet::new();
-                let mut intervals: Vec<Option<(u64, u64)>> = vec![None; nprocs];
-                for (src, payload) in incoming.iter().enumerate() {
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    if payload.len() != 16 {
-                        return Err(IoError::Usage("malformed view-based request".into()));
-                    }
-                    let lo = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                    let len = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                    intervals[src] = Some((lo, len));
-                    for (o, l) in views.views[src].map_range(lo, len) {
-                        wanted.insert(o, l);
-                    }
-                }
-                if !wanted.is_empty() {
-                    let win_len = (we - ws) as usize;
-                    let _cb = rank.alloc(win_len as u64)?;
-                    rank.note_mem_peak();
-                    let pfs = file.pfs().clone();
-                    let fid = file.file_id();
-                    let mut wbuf = vec![0u8; win_len];
-                    let mut done = rank.now();
-                    if cfg.hedged_reads {
-                        pfs.hedge_scope_begin(rank.rank());
-                    }
-                    for &(off, len) in wanted.runs() {
-                        let at = (off - ws) as usize;
-                        let dst = &mut wbuf[at..at + len as usize];
-                        let t = crate::retry::pfs_retry(rank, |rk| {
-                            if cfg.hedged_reads {
-                                pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
-                            } else {
-                                pfs.read_at(fid, rk.rank(), off, dst, rk.now())
-                            }
-                        })?;
-                        done = done.max(t);
-                        rank.stats.io_reads += 1;
-                        rank.stats.io_read_bytes += len;
-                    }
-                    rank.sync_to(done);
-                    for (src, iv) in intervals.iter().enumerate() {
-                        let Some((lo, len)) = iv else { continue };
-                        let mut resp = Vec::with_capacity(*len as usize);
-                        for (o, l) in views.views[src].map_range(*lo, *len) {
-                            let at = (o - ws) as usize;
-                            resp.extend_from_slice(&wbuf[at..at + l as usize]);
-                        }
-                        rank.charge_memcpy(*len);
-                        responses[src] = resp;
-                    }
-                }
-            }
-        }
-        let answers = exchange(rank, cfg, responses)?;
-
-        // Scatter each aggregator's reply into my buffer.
-        for (a, iv) in my_intervals.iter().enumerate() {
-            let Some((lo, hi)) = iv else { continue };
-            let payload = &answers[a];
-            if payload.len() as u64 != hi - lo {
-                return Err(IoError::Usage("view-based reply length mismatch".into()));
-            }
-            buf[(lo - offset) as usize..(hi - offset) as usize].copy_from_slice(payload);
-        }
-    }
-    rank.barrier()?;
-    Ok(())
+    let engine = view_based(rank, views, cfg, ["vb_read", "vb_read_pipe"])?;
+    engine.read(rank, file, &views.views[rank.rank()], offset, buf)
 }
 
 #[cfg(test)]

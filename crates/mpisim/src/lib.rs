@@ -57,7 +57,7 @@ pub use metrics::{Hist, RankMetrics, Registry};
 pub use net::{FabricStatsSnapshot, NetConfig, Transfer};
 pub use p2p::{Received, Request, Tag};
 pub use rma::{Epoch, LockKind, Window};
-pub use runtime::{run, Backend, DeferredIo, Rank, ReduceOp, SimConfig, SimReport};
+pub use runtime::{run, Backend, DeferredIo, IoPipeline, Rank, ReduceOp, SimConfig, SimReport};
 pub use stats::RankStats;
 pub use subcomm::SubComm;
 pub use topology::Topology;

@@ -238,6 +238,50 @@ pub struct DeferredIo {
     pub bytes: u64,
 }
 
+/// Depth of every I/O pipeline: double buffering, matching the two
+/// collective buffers (or drain segments) a rank holds in flight.
+const PIPELINE_DEPTH: usize = 2;
+
+/// The deferred-completion queue of a pipelined round loop: at most
+/// `PIPELINE_DEPTH` [`DeferredIo`] handles in flight, each with a guard
+/// `G` (e.g. the collective buffer's [`crate::MemGuard`]) that stays alive
+/// until its handle is settled.
+#[derive(Debug)]
+pub struct IoPipeline<G = ()> {
+    inflight: std::collections::VecDeque<(DeferredIo, G)>,
+}
+
+impl<G> Default for IoPipeline<G> {
+    fn default() -> Self {
+        Self {
+            inflight: std::collections::VecDeque::new(),
+        }
+    }
+}
+
+impl<G> IoPipeline<G> {
+    /// Settle the oldest handles until one more fits — call before
+    /// starting the work the next handle will overlap.
+    pub fn make_room(&mut self, rank: &mut Rank) {
+        while self.inflight.len() >= PIPELINE_DEPTH {
+            let (h, _guard) = self.inflight.pop_front().expect("non-empty pipeline");
+            rank.io_complete(h);
+        }
+    }
+
+    /// Queue a submitted handle (after [`IoPipeline::make_room`]).
+    pub fn push(&mut self, h: DeferredIo, guard: G) {
+        self.inflight.push_back((h, guard));
+    }
+
+    /// Settle everything still in flight, oldest first.
+    pub fn drain(&mut self, rank: &mut Rank) {
+        while let Some((h, _guard)) = self.inflight.pop_front() {
+            rank.io_complete(h);
+        }
+    }
+}
+
 /// Per-rank handle passed to the simulation body. Not `Send`: it belongs to
 /// its rank thread.
 pub struct Rank {

@@ -881,20 +881,16 @@ impl<'a> TcioFile<'a> {
         let t0 = rank.now();
         let mut drained = 0u64;
         let mut done = rank.now();
-        // Deferred per-segment completions (pipeline_drain only): at most
-        // two segments' writes stay outstanding, so segment k+1's window
-        // copy and submission overlap segment k's OST service.
-        let mut inflight: std::collections::VecDeque<mpisim::DeferredIo> =
-            std::collections::VecDeque::new();
+        // Deferred per-segment completions (pipeline_drain only; empty in
+        // the flat drain): segment k+1's window copy and submission overlap
+        // segment k's OST service.
+        let mut inflight = mpisim::IoPipeline::default();
         for seg in 0..self.cfg.num_segments {
             let meta = self.meta.segs[me][seg].lock();
             if meta.valid.is_empty() {
                 continue;
             }
-            while inflight.len() >= 2 {
-                let h = inflight.pop_front().expect("non-empty inflight");
-                rank.io_complete(h);
-            }
+            inflight.make_room(rank);
             let file_base = self.map.file_offset(me, seg);
             let seg_base = (seg as u64 * s) as usize;
             let runs: Vec<(u64, u64)> = meta.valid.runs().to_vec();
@@ -930,20 +926,19 @@ impl<'a> TcioFile<'a> {
             }
             drained += seg_bytes;
             if pipelined {
-                inflight.push_back(mpisim::DeferredIo {
+                let h = mpisim::DeferredIo {
                     name: "tcio_drain_pipe",
                     submitted: seg_start,
                     done: t,
                     bytes: seg_bytes,
-                });
+                };
+                inflight.push(h, ());
             } else {
                 done = done.max(t);
             }
         }
         if pipelined {
-            while let Some(h) = inflight.pop_front() {
-                rank.io_complete(h);
-            }
+            inflight.drain(rank);
         } else {
             rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
             rank.trace_mark("tcio_drain", Phase::Io, t0, drained);

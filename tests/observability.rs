@@ -12,11 +12,13 @@ use workloads::synthetic::{self, Method, SynthParams};
 use workloads::WlError;
 
 /// Span names that account for bytes written to the PFS (one per write
-/// path: collective aggregator, independent, data-sieving RMW, TCIO
-/// drain — plus the pipelined twins each path records when its deferred
-/// round/segment handles are in play).
-const WRITE_SITES: [&str; 8] = [
+/// path: collective aggregator, view-based and partitioned aggregators,
+/// independent, data-sieving RMW, TCIO drain — plus the pipelined twins
+/// each path records when its deferred round/segment handles are in play).
+const WRITE_SITES: [&str; 10] = [
     "ocio_io",
+    "vb_io",
+    "par_io",
     "indep_write",
     "sieve_rmw",
     "tcio_drain",
@@ -89,13 +91,62 @@ fn phase_durations_sum_to_elapsed_virtual_time() {
     }
 }
 
+/// The Fig. 2 interleaved pattern on 4 ranks written, traced, through
+/// the view-based (`"vb"`) or the partitioned (`"par"`, two groups)
+/// collective front-end, in several rounds.
+fn traced_front_end_write(front: &'static str) -> (mpisim::SimReport<()>, Arc<pfs::Pfs>) {
+    fn to_mpi(e: mpiio::IoError) -> mpisim::MpiError {
+        mpisim::MpiError::InvalidDatatype(e.to_string())
+    }
+    let (nprocs, len_array) = (4usize, 16usize);
+    let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
+    let sim = mpisim::SimConfig {
+        trace: true,
+        ..Default::default()
+    };
+    let fs2 = Arc::clone(&fs);
+    let rep = mpisim::run(nprocs, sim, move |rk| {
+        let cfg = mpiio::CollectiveConfig {
+            cb_buffer: Some(200),
+            ..Default::default()
+        };
+        let mut f = mpiio::File::open(rk, &fs2, "/obs", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+        let etype =
+            mpisim::Datatype::contiguous(12, mpisim::Datatype::named(mpisim::Named::Byte)).commit();
+        let ftype =
+            mpisim::Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone())
+                .commit();
+        f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
+            .map_err(to_mpi)?;
+        let data = vec![rk.rank() as u8 + 1; 12 * len_array];
+        if front == "vb" {
+            let views = mpiio::register_views(rk, &f).map_err(to_mpi)?;
+            mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &cfg).map_err(to_mpi)?;
+        } else {
+            let group = rk.split((rk.rank() / 2) as u64)?;
+            mpiio::write_all_partitioned(rk, &mut f, &group, 0, &data, &cfg).map_err(to_mpi)?;
+        }
+        f.close(rk).map_err(to_mpi)?;
+        Ok(())
+    })
+    .unwrap();
+    (rep, fs)
+}
+
 #[test]
 fn traced_write_bytes_equal_pfs_bytes_landed() {
     // Bytes conservation: the sum of bytes claimed by write-site spans
-    // equals the bytes the simulated PFS actually accepted.
+    // equals the bytes the simulated PFS actually accepted — for every
+    // write stack, including the view-based and partitioned collectives.
     let p = SynthParams::with_types("i,d", 384, 4).unwrap();
-    for method in [Method::Ocio, Method::Tcio, Method::Vanilla] {
-        let (rep, fs) = traced_write(method, 4, &p);
+    let mut runs: Vec<(String, _)> = [Method::Ocio, Method::Tcio, Method::Vanilla]
+        .into_iter()
+        .map(|m| (format!("{m:?}"), traced_write(m, 4, &p)))
+        .collect();
+    for front in ["vb", "par"] {
+        runs.push((front.to_string(), traced_front_end_write(front)));
+    }
+    for (label, (rep, fs)) in runs {
         let claimed: u64 = rep
             .traces
             .iter()
@@ -106,9 +157,9 @@ fn traced_write_bytes_equal_pfs_bytes_landed() {
         let landed = fs.stats.snapshot().bytes_written;
         assert_eq!(
             claimed, landed,
-            "{method:?}: spans claim {claimed} B written, PFS landed {landed} B"
+            "{label}: spans claim {claimed} B written, PFS landed {landed} B"
         );
-        assert!(claimed > 0, "{method:?} must have written something");
+        assert!(claimed > 0, "{label} must have written something");
     }
 }
 

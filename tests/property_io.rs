@@ -247,20 +247,42 @@ fn run_plan_ablation(
             _ => {
                 let mut f =
                     mpiio::File::open(rk, &fs2, "/abl", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+                // "vb" registers the (default) views once; "par" runs the
+                // partitioned write over a single group spanning the world.
+                let views = match method {
+                    "vb" => Some(mpiio::register_views(rk, &f).map_err(to_mpi)?),
+                    _ => None,
+                };
+                let group = match method {
+                    "par" => Some(rk.split(0)?),
+                    _ => None,
+                };
                 for &(rank, off, len, fill) in &plan2.blocks {
                     let (o, data) = if rank == rk.rank() {
                         (off, block_data(len, fill))
                     } else {
                         (0, Vec::new())
                     };
-                    mpiio::write_all_at(rk, &mut f, o, &data, &ccfg).map_err(to_mpi)?;
+                    if let Some(v) = &views {
+                        mpiio::write_all_view_based(rk, &mut f, v, o, &data, &ccfg)
+                    } else if let Some(g) = &group {
+                        mpiio::write_all_partitioned(rk, &mut f, g, o, &data, &ccfg)
+                    } else {
+                        mpiio::write_all_at(rk, &mut f, o, &data, &ccfg)
+                    }
+                    .map_err(to_mpi)?;
                 }
                 f.close(rk).map_err(to_mpi)?;
             }
         }
         // Read-back through the collective read path under the same
-        // ablation config; every rank re-reads its own blocks.
+        // ablation config; every rank re-reads its own blocks ("vb" through
+        // the view-based read, everything else through `read_all_at`).
         let mut f = mpiio::File::open(rk, &fs2, "/abl", mpiio::Mode::ReadOnly).map_err(to_mpi)?;
+        let views = match method {
+            "vb" => Some(mpiio::register_views(rk, &f).map_err(to_mpi)?),
+            _ => None,
+        };
         let mut mine = Vec::new();
         for &(rank, off, len, _) in &plan2.blocks {
             let (o, mut buf) = if rank == rk.rank() {
@@ -268,7 +290,11 @@ fn run_plan_ablation(
             } else {
                 (0, Vec::new())
             };
-            mpiio::read_all_at(rk, &mut f, o, &mut buf, &ccfg).map_err(to_mpi)?;
+            match &views {
+                Some(v) => mpiio::read_all_view_based(rk, &mut f, v, o, &mut buf, &ccfg),
+                None => mpiio::read_all_at(rk, &mut f, o, &mut buf, &ccfg),
+            }
+            .map_err(to_mpi)?;
             mine.extend_from_slice(&buf);
         }
         f.close(rk).map_err(to_mpi)?;
@@ -295,8 +321,10 @@ fn ablation_matrix_is_byte_identical_across_random_plans() {
     // — request aggregation and the round pipeline — must produce PFS
     // bytes identical to the flat run (and to the byte-array model), and
     // the collective read-back under the same knobs must return exactly
-    // the bytes each rank wrote. The knobs are pure virtual-time
-    // features; any byte drift is a merging or pipelining bug.
+    // the bytes each rank wrote. Every two-phase front-end runs the grid:
+    // classic (`ocio`), view-based (`vb`) and partitioned (`par`). The
+    // knobs are pure virtual-time features; any byte drift is a merging
+    // or pipelining bug.
     for seed in 400..450u64 {
         let plan = random_plan(seed);
         if plan.blocks.is_empty() {
@@ -310,7 +338,7 @@ fn ablation_matrix_is_byte_identical_across_random_plans() {
             .iter()
             .flat_map(|&(_, _, len, fill)| block_data(len, fill))
             .collect();
-        for method in ["tcio", "ocio"] {
+        for method in ["tcio", "ocio", "vb", "par"] {
             for (req_agg, pipeline) in [(false, false), (true, false), (false, true), (true, true)]
             {
                 let (bytes, readback) = run_plan_ablation(&plan, ppn, method, req_agg, pipeline);
