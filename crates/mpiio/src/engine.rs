@@ -196,6 +196,7 @@ pub(crate) fn encode_pieces(pieces: &[(u64, &[u8])]) -> Vec<u8> {
 }
 
 /// Decode a piece list into `(off, bytes)` views into `buf`.
+#[cfg(test)]
 pub(crate) fn decode_pieces(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
     let (heads, data) = decode_heads(buf)?;
     with_bytes(heads, data)
@@ -262,13 +263,13 @@ pub(crate) struct Domains {
 }
 
 impl Domains {
-    /// Which aggregator index (if any) scope rank `me` serves as.
-    fn my_agg_index(&self, me: usize) -> Option<usize> {
-        self.agg_ranks.iter().position(|&r| r == me)
+    /// Which aggregator index (if any) scope rank `rank` serves as.
+    pub(crate) fn agg_index(&self, rank: usize) -> Option<usize> {
+        self.agg_ranks.iter().position(|&r| r == rank)
     }
 
     /// Aggregator i's window `[ws, we)` for round r (empty past its domain).
-    fn window(&self, i: usize, r: u64) -> (u64, u64) {
+    pub(crate) fn window(&self, i: usize, r: u64) -> (u64, u64) {
         let start = self.gmin + i as u64 * self.dsize;
         let de = (start + self.dsize).min(self.gmax);
         let ws = start.min(self.gmax) + r * self.round_size;
@@ -391,13 +392,16 @@ impl<'a> Local<'a> {
                 .into_iter()
                 .collect();
         }
+        // The extents are sorted and disjoint: start at the first one
+        // ending past `ws`, stop at the first one starting at `we`.
+        let first = self.extents.partition_point(|&(o, l)| o + l <= ws);
         let clip = |(&(eoff, elen), &cur): (&(u64, u64), &usize)| {
             let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
             (s < e).then(|| (s, e - s, cur + (s - eoff) as usize))
         };
-        self.extents
-            .iter()
-            .zip(&self.cursors)
+        (self.extents[first..].iter())
+            .zip(&self.cursors[first..])
+            .take_while(|&(&(o, _), _)| o < we)
             .filter_map(clip)
             .collect()
     }
@@ -459,18 +463,56 @@ impl WindowIo {
     }
 }
 
-/// Write the dirty runs of an aggregator's window buffer (file offset `ws`).
-fn write_window(
-    rank: &mut Rank,
-    file: &File,
+/// A write window `[ws, we)` assembled in one flat buffer: later pieces
+/// overwrite earlier bytes on overlap, and the dirty runs are kept sorted
+/// and coalesced. An aggregator's collective buffer, and a node leader's
+/// merge of its members' pieces for one aggregator.
+pub(crate) struct WindowBuf {
     ws: u64,
-    buf: &[u8],
-    dirty: &ExtentSet,
-) -> Result<WindowIo> {
+    buf: Vec<u8>,
+    dirty: ExtentSet,
+}
+
+impl WindowBuf {
+    pub(crate) fn new(ws: u64, we: u64) -> Self {
+        WindowBuf {
+            ws,
+            buf: vec![0u8; (we - ws) as usize],
+            dirty: ExtentSet::new(),
+        }
+    }
+
+    /// Decode source `src`'s piece list under `enc` and copy its pieces
+    /// in, returning them (for the caller's memcpy charge).
+    pub(crate) fn put<'p>(
+        &mut self,
+        enc: Encoding,
+        src: usize,
+        payload: &'p [u8],
+    ) -> Result<Vec<(u64, &'p [u8])>> {
+        let we = self.ws + self.buf.len() as u64;
+        let (extents, bytes) = enc.decode(src, payload, self.ws, we)?;
+        let pieces = with_bytes(extents, bytes)?;
+        for &(off, bytes) in &pieces {
+            self.buf[(off - self.ws) as usize..][..bytes.len()].copy_from_slice(bytes);
+            self.dirty.insert(off, bytes.len() as u64);
+        }
+        Ok(pieces)
+    }
+
+    /// The dirty runs with their bytes, ascending by file offset.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        (self.dirty.runs().iter())
+            .map(|&(off, len)| (off, &self.buf[(off - self.ws) as usize..][..len as usize]))
+    }
+}
+
+/// Write the dirty runs of an aggregator's window buffer.
+fn write_window(rank: &mut Rank, file: &File, win: &WindowBuf) -> Result<WindowIo> {
     let (pfs, fid) = (file.pfs().clone(), file.file_id());
     let mut io = WindowIo::start(rank);
-    for &(off, len) in dirty.runs() {
-        let src = &buf[(off - ws) as usize..][..len as usize];
+    for (off, src) in win.runs() {
+        let len = src.len() as u64;
         let t = pfs_retry(rank, |rk| pfs.write_at(fid, rk.rank(), off, src, rk.now()))?;
         io.done = io.done.max(t);
         io.bytes += len;
@@ -545,7 +587,7 @@ impl Engine<'_> {
         let Some(doms) = compute_domains(rank, self.scope, lo, hi, self.cfg)? else {
             return self.scope.barrier(rank);
         };
-        let my_agg = doms.my_agg_index(self.scope.me(rank));
+        let my_agg = doms.agg_index(self.scope.me(rank));
         // Collective-buffer guards ride along with their deferred handles.
         let mut pipe = IoPipeline::default();
         for r in 0..doms.rounds {
@@ -563,7 +605,7 @@ impl Engine<'_> {
                 }
             }
             let exchanged = match self.enc {
-                Encoding::Merged => reqagg::exchange_pieces(rank, &doms.agg_ranks, payloads)?,
+                Encoding::Merged => reqagg::exchange_pieces(rank, &doms, r, payloads)?,
                 _ => self.scope.burst(rank, self.cfg, payloads)?,
             };
             let Some((ws, we)) = my_agg.map(|i| doms.window(i, r)).filter(|(ws, we)| ws < we)
@@ -572,18 +614,12 @@ impl Engine<'_> {
             };
             let cb = rank.alloc(we - ws)?;
             rank.note_mem_peak();
-            let mut buf = vec![0u8; (we - ws) as usize];
-            let mut dirty = ExtentSet::new();
+            let mut win = WindowBuf::new(ws, we);
             for (src, payload) in exchanged.iter().enumerate() {
-                let (extents, bytes) = self.enc.decode(src, payload, ws, we)?;
-                let pieces = with_bytes(extents, bytes)?;
-                for &(off, bytes) in &pieces {
-                    buf[(off - ws) as usize..][..bytes.len()].copy_from_slice(bytes);
-                    dirty.insert(off, bytes.len() as u64);
-                }
+                let pieces = win.put(self.enc, src, payload)?;
                 self.enc.charge_copies(rank, &pieces);
             }
-            let io = write_window(rank, file, ws, &buf, &dirty)?;
+            let io = write_window(rank, file, &win)?;
             if let Some(h) = io.settle(rank, self.cfg.pipeline, self.sites) {
                 pipe.push(h, cb);
             }
@@ -608,7 +644,7 @@ impl Engine<'_> {
         let Some(doms) = compute_domains(rank, self.scope, lo, hi, self.cfg)? else {
             return self.scope.barrier(rank);
         };
-        let my_agg = doms.my_agg_index(self.scope.me(rank));
+        let my_agg = doms.agg_index(self.scope.me(rank));
         let mut prefetched: Option<Leg> = None;
         for r in 0..doms.rounds {
             let leg = match prefetched.take() {
@@ -746,6 +782,62 @@ mod tests {
         msg.extend_from_slice(&len.to_le_bytes());
         msg.extend_from_slice(data);
         msg
+    }
+
+    #[test]
+    fn windowed_slots_match_a_full_scan() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let view = strided_view(0);
+        let mut rng = StdRng::seed_from_u64(0x5107_5E75);
+        let mut below = |n: u64| rng.next_u64() % n;
+        for case in 0..200 {
+            // Sorted, disjoint extents with random gaps and lengths.
+            let mut extents = Vec::new();
+            let mut at = below(20);
+            for _ in 0..below(40) {
+                let len = 1 + below(30);
+                extents.push((at, len));
+                at += len + 1 + below(20);
+            }
+            let (end, len) = (at, extents.iter().map(|e| e.1).sum());
+            let cursors = (extents.iter())
+                .scan(0, |acc, &(_, l)| {
+                    Some(std::mem::replace(acc, *acc + l as usize))
+                })
+                .collect();
+            let local = Local {
+                view: &view,
+                offset: 0,
+                len,
+                extents,
+                cursors,
+            };
+            let full_scan = |ws: u64, we: u64| -> Vec<(u64, u64, usize)> {
+                (local.extents.iter().zip(&local.cursors))
+                    .filter_map(|(&(o, l), &cur)| {
+                        let (s, e) = (o.max(ws), (o + l).min(we));
+                        (s < e).then(|| (s, e - s, cur + (s - o) as usize))
+                    })
+                    .collect()
+            };
+            // Random windows, plus for every extent: one cut on both
+            // sides, one in the gap before it, and empty ones at its ends.
+            let mut windows: Vec<(u64, u64)> = (0..20)
+                .map(|_| {
+                    let ws = below(end + 10);
+                    (ws, ws + below(end + 10 - ws))
+                })
+                .collect();
+            let mut gap_start = 0;
+            for &(o, l) in &local.extents {
+                windows.extend([(o + 1, o + l - 1), (gap_start, o), (o, o), (o + l, o + l)]);
+                gap_start = o + l;
+            }
+            for (ws, we) in windows.into_iter().filter(|(ws, we)| ws <= we) {
+                let got = local.slots(Encoding::Extents, ws, we);
+                assert_eq!(got, full_scan(ws, we), "case {case}: window [{ws}, {we})");
+            }
+        }
     }
 
     #[test]

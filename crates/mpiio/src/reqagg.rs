@@ -45,7 +45,9 @@
 //! case — are bit-identical to the flat burst, which is what the
 //! differential suite pins.
 
-use crate::engine::{decode_pieces, decode_requests, encode_pieces, encode_requests};
+use crate::engine::{
+    decode_requests, encode_pieces, encode_requests, Domains, Encoding, WindowBuf,
+};
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use mpisim::{MpiError, Phase, Rank, Tag};
@@ -177,65 +179,6 @@ fn make_plan(rank: &mut Rank, agg_ranks: &[usize]) -> Result<RaPlan> {
     })
 }
 
-/// Disjoint byte runs keyed by file offset, with later inserts overwriting
-/// earlier bytes on overlap — the merge buffer a node leader builds per
-/// destination aggregator.
-#[derive(Default)]
-pub(crate) struct PieceMap {
-    runs: BTreeMap<u64, Vec<u8>>,
-}
-
-impl PieceMap {
-    pub(crate) fn insert(&mut self, off: u64, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        let end = off + data.len() as u64;
-        // Runs are disjoint, so walking down from the last run starting
-        // before `end` stops at the first non-overlapping one.
-        let overlapping: Vec<u64> = self
-            .runs
-            .range(..end)
-            .rev()
-            .take_while(|(&s, v)| s + v.len() as u64 > off)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let v = self.runs.remove(&s).expect("overlapping run present");
-            let e = s + v.len() as u64;
-            if s < off {
-                self.runs.insert(s, v[..(off - s) as usize].to_vec());
-            }
-            if e > end {
-                self.runs.insert(end, v[(end - s) as usize..].to_vec());
-            }
-        }
-        self.runs.insert(off, data.to_vec());
-    }
-
-    /// Sorted `(off, bytes)` pieces with adjacent runs coalesced into one
-    /// extent — the aggregation win: one wire header per merged extent.
-    pub(crate) fn coalesced(self) -> Vec<(u64, Vec<u8>)> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (off, bytes) in self.runs {
-            match out.last_mut() {
-                Some((o, b)) if *o + b.len() as u64 == off => b.extend_from_slice(&bytes),
-                _ => out.push((off, bytes)),
-            }
-        }
-        out
-    }
-
-    fn encode(self) -> Vec<u8> {
-        let pieces = self.coalesced();
-        if pieces.is_empty() {
-            return Vec::new();
-        }
-        let views: Vec<(u64, &[u8])> = pieces.iter().map(|(o, b)| (*o, b.as_slice())).collect();
-        encode_pieces(&views)
-    }
-}
-
 /// The uphill leg both aggregated exchanges share. On-node lists go
 /// directly; off-node lists ride one up-blob to the node leader, which
 /// hands `merge` each off-node aggregator's member lists (ascending member
@@ -311,32 +254,50 @@ fn uphill(
     Ok(out)
 }
 
-/// The write-side aggregated exchange: the leader merges member piece
-/// lists with [`PieceMap`] (later members overwrite on overlap).
+/// The write-side aggregated exchange of round `r`: the leader merges
+/// member piece lists per aggregator window with [`merge_pieces`].
 pub(crate) fn exchange_pieces(
     rank: &mut Rank,
-    agg_ranks: &[usize],
+    doms: &Domains,
+    r: u64,
     payloads: Vec<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
-    let plan = make_plan(rank, agg_ranks)?;
+    let plan = make_plan(rank, &doms.agg_ranks)?;
     uphill(
         rank,
         &plan,
         payloads,
         "reqagg_pieces",
-        |rank, _, members| {
-            let mut map = PieceMap::default();
-            let mut moved = 0u64;
-            for blob in members.values() {
-                for (off, bytes) in decode_pieces(blob)? {
-                    map.insert(off, bytes);
-                    moved += bytes.len() as u64;
-                }
-            }
+        |rank, a, members| {
+            let i = doms.agg_index(a).expect("merged lists go to aggregators");
+            let (ws, we) = doms.window(i, r);
+            let (list, moved) = merge_pieces(ws, we, &members)?;
             rank.charge_memcpy(moved);
-            Ok(map.encode())
+            Ok(list)
         },
     )
+}
+
+/// Merge members' piece lists for the aggregator window `[ws, we)` in one
+/// [`WindowBuf`], in ascending member order (later members overwrite on
+/// overlap — the same index order the flat burst applies), and encode the
+/// coalesced dirty runs as one list: the aggregation win is one wire header
+/// per merged extent. Returns the list (empty when nothing was written)
+/// and the bytes copied.
+fn merge_pieces(ws: u64, we: u64, members: &BTreeMap<usize, Vec<u8>>) -> Result<(Vec<u8>, u64)> {
+    let mut win = WindowBuf::new(ws, we);
+    let mut moved = 0;
+    for (&m, blob) in members {
+        let pieces = win.put(Encoding::Merged, m, blob)?;
+        moved += pieces.iter().map(|p| p.1.len() as u64).sum::<u64>();
+    }
+    let runs: Vec<(u64, &[u8])> = win.runs().collect();
+    let list = if runs.is_empty() {
+        Vec::new()
+    } else {
+        encode_pieces(&runs)
+    };
+    Ok((list, moved))
 }
 
 /// State carried from the request leg to the response leg of an
@@ -477,54 +438,145 @@ pub(crate) fn exchange_responses(
 mod tests {
     use super::*;
 
-    fn pieces(map: PieceMap) -> Vec<(u64, Vec<u8>)> {
-        map.coalesced()
+    use crate::engine::decode_pieces;
+    use rand::{rngs::StdRng, RngExt, SeedableRng};
+
+    /// Merge `lists` (member `k` sends `lists[k]`) in the window `[0, 64)`
+    /// and decode the result.
+    fn merged(lists: &[&[(u64, &[u8])]]) -> Vec<(u64, Vec<u8>)> {
+        let members = (lists.iter().enumerate())
+            .map(|(m, l)| (m, encode_pieces(l)))
+            .collect();
+        let (list, moved) = merge_pieces(0, 64, &members).unwrap();
+        let sent: usize = lists.iter().flat_map(|l| l.iter()).map(|p| p.1.len()).sum();
+        assert_eq!(moved, sent as u64);
+        (decode_pieces(&list).unwrap().into_iter())
+            .map(|(o, b)| (o, b.to_vec()))
+            .collect()
     }
 
     #[test]
-    fn piecemap_coalesces_adjacent_extents() {
-        let mut m = PieceMap::default();
-        m.insert(10, &[1, 2]);
-        m.insert(12, &[3, 4]);
-        m.insert(20, &[9]);
-        assert_eq!(pieces(m), vec![(10, vec![1, 2, 3, 4]), (20, vec![9])]);
+    fn merge_coalesces_adjacent_extents() {
+        let got = merged(&[&[(10, &[1, 2]), (20, &[9])], &[(12, &[3, 4])]]);
+        assert_eq!(got, vec![(10, vec![1, 2, 3, 4]), (20, vec![9])]);
     }
 
     #[test]
-    fn piecemap_later_insert_overwrites_overlap() {
-        let mut m = PieceMap::default();
-        m.insert(0, &[1, 1, 1, 1]);
-        m.insert(1, &[2, 2]);
-        assert_eq!(pieces(m), vec![(0, vec![1, 2, 2, 1])]);
+    fn merge_later_insert_overwrites_overlap() {
+        assert_eq!(
+            merged(&[&[(0, &[1, 1, 1, 1])], &[(1, &[2, 2])]]),
+            vec![(0, vec![1, 2, 2, 1])]
+        );
+        // Within one member's list too.
+        assert_eq!(
+            merged(&[&[(0, &[1, 1, 1, 1]), (1, &[2, 2])]]),
+            vec![(0, vec![1, 2, 2, 1])]
+        );
     }
 
     #[test]
-    fn piecemap_insert_spanning_many_runs() {
-        let mut m = PieceMap::default();
-        m.insert(0, &[1, 1]);
-        m.insert(4, &[2, 2]);
-        m.insert(8, &[3, 3]);
-        m.insert(1, &[7; 8]);
-        assert_eq!(pieces(m), vec![(0, vec![1, 7, 7, 7, 7, 7, 7, 7, 7, 3])]);
+    fn merge_insert_spanning_many_runs() {
+        let got = merged(&[&[(0, &[1, 1]), (4, &[2, 2]), (8, &[3, 3])], &[(1, &[7; 8])]]);
+        assert_eq!(got, vec![(0, vec![1, 7, 7, 7, 7, 7, 7, 7, 7, 3])]);
     }
 
     #[test]
-    fn piecemap_splits_surrounding_run() {
-        let mut m = PieceMap::default();
-        m.insert(0, &[5; 10]);
-        m.insert(3, &[8, 8]);
+    fn merge_splits_surrounding_run() {
         // One coalesced extent, bytes overwritten in the middle.
-        let got = pieces(m);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, 0);
-        assert_eq!(got[0].1, vec![5, 5, 5, 8, 8, 5, 5, 5, 5, 5]);
+        let got = merged(&[&[(0, &[5; 10])], &[(3, &[8, 8])]]);
+        assert_eq!(got, vec![(0, vec![5, 5, 5, 8, 8, 5, 5, 5, 5, 5])]);
     }
 
     #[test]
-    fn piecemap_empty_insert_is_noop() {
-        let mut m = PieceMap::default();
-        m.insert(5, &[]);
-        assert!(pieces(m).is_empty());
+    fn merge_of_empty_pieces_is_an_empty_list() {
+        let members = BTreeMap::from([(0, encode_pieces(&[(5, &[][..])]))]);
+        assert_eq!(merge_pieces(0, 64, &members).unwrap(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn merge_rejects_pieces_outside_the_window() {
+        let members = BTreeMap::from([(0, encode_pieces(&[(60, &[1; 8][..])]))]);
+        assert!(merge_pieces(0, 64, &members).is_err());
+    }
+
+    /// Reference merge: disjoint byte runs keyed by file offset, later
+    /// inserts splitting and overwriting the runs they overlap.
+    #[derive(Default)]
+    struct PieceMap {
+        runs: BTreeMap<u64, Vec<u8>>,
+    }
+
+    impl PieceMap {
+        fn insert(&mut self, off: u64, data: &[u8]) {
+            if data.is_empty() {
+                return;
+            }
+            let end = off + data.len() as u64;
+            let overlapping: Vec<u64> = (self.runs.range(..end).rev())
+                .take_while(|(&s, v)| s + v.len() as u64 > off)
+                .map(|(&s, _)| s)
+                .collect();
+            for s in overlapping {
+                let v = self.runs.remove(&s).expect("overlapping run present");
+                let e = s + v.len() as u64;
+                if s < off {
+                    self.runs.insert(s, v[..(off - s) as usize].to_vec());
+                }
+                if e > end {
+                    self.runs.insert(end, v[(end - s) as usize..].to_vec());
+                }
+            }
+            self.runs.insert(off, data.to_vec());
+        }
+
+        /// Sorted pieces, adjacent runs coalesced, encoded as one list.
+        fn encode(self) -> Vec<u8> {
+            let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+            for (off, bytes) in self.runs {
+                match out.last_mut() {
+                    Some((o, b)) if *o + b.len() as u64 == off => b.extend_from_slice(&bytes),
+                    _ => out.push((off, bytes)),
+                }
+            }
+            let views: Vec<(u64, &[u8])> = out.iter().map(|(o, b)| (*o, &b[..])).collect();
+            if views.is_empty() {
+                Vec::new()
+            } else {
+                encode_pieces(&views)
+            }
+        }
+    }
+
+    #[test]
+    fn merge_matches_the_piece_map_reference_on_random_lists() {
+        let mut rng = StdRng::seed_from_u64(0x5241_4D45);
+        let mut below = |n: u64| rng.next_u64() % n;
+        for case in 0..500 {
+            let ws = below(1000);
+            let we = ws + 1 + below(200);
+            let mut members = BTreeMap::new();
+            let mut reference = PieceMap::default();
+            for m in 0..below(8) as usize {
+                let mut data = Vec::new();
+                let mut heads = Vec::new();
+                for _ in 0..below(7) {
+                    let off = ws + below(we - ws + 1);
+                    let len = below((we - off).min(24) + 1);
+                    heads.push((off, data.len(), len as usize));
+                    data.extend((0..len).map(|_| below(256) as u8));
+                }
+                let pieces: Vec<(u64, &[u8])> = (heads.iter())
+                    .map(|&(off, at, len)| (off, &data[at..at + len]))
+                    .collect();
+                pieces.iter().for_each(|&(off, b)| reference.insert(off, b));
+                // A member with nothing for this aggregator sends nothing.
+                if !pieces.is_empty() {
+                    members.insert(m, encode_pieces(&pieces));
+                }
+            }
+            let (list, _) = merge_pieces(ws, we, &members).unwrap();
+            assert_eq!(list, reference.encode(), "case {case}");
+        }
     }
 
     #[test]

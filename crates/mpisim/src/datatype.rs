@@ -442,63 +442,52 @@ impl Datatype {
 
     // ---- flattening ----
 
-    /// Flatten one instance into byte extents `(offset, len)` relative to
-    /// the type origin, in type-map order (not sorted, not merged).
-    pub fn flatten_raw(&self) -> Vec<(isize, usize)> {
+    /// One instance's byte extents `(offset, len)` relative to the type
+    /// origin, in type-map order, with empty runs dropped and runs that
+    /// are adjacent in type-map order merged. Listless flattening: each
+    /// child is flattened once and its merged list shifted to every
+    /// placement, so the cost is linear in the output rather than in the
+    /// number of named elements.
+    fn flatten(&self) -> Vec<(isize, usize)> {
         let mut out = Vec::new();
-        self.flatten_into(0, &mut out);
-        out
-    }
-
-    fn flatten_into(&self, base: isize, out: &mut Vec<(isize, usize)>) {
         match self {
-            Datatype::Named(n) => out.push((base, n.size())),
-            Datatype::Contiguous { count, child } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    child.flatten_into(base + ext * i as isize, out);
-                }
-            }
+            Datatype::Named(n) => push_run(&mut out, 0, n.size()),
+            Datatype::Contiguous { count, child } => place(&mut out, child, [(0, *count)]),
             Datatype::Vector {
                 count,
                 blocklen,
                 stride,
                 child,
             } => {
-                let ext = child.extent() as isize;
-                flatten_strided(*count, *blocklen, *stride * ext, child, base, out);
+                let stride = *stride * child.extent() as isize;
+                let starts = (0..*count as isize).map(|i| (stride * i, *blocklen));
+                place(&mut out, child, starts)
             }
             Datatype::Hvector {
                 count,
                 blocklen,
                 stride_bytes,
                 child,
-            } => flatten_strided(*count, *blocklen, *stride_bytes, child, base, out),
+            } => {
+                let starts = (0..*count as isize).map(|i| (stride_bytes * i, *blocklen));
+                place(&mut out, child, starts)
+            }
             Datatype::Indexed {
                 blocklens,
                 displs,
                 child,
             } => {
                 let ext = child.extent() as isize;
-                for (&b, &d) in blocklens.iter().zip(displs.iter()) {
-                    let start = base + d * ext;
-                    for j in 0..b {
-                        child.flatten_into(start + ext * j as isize, out);
-                    }
-                }
+                let starts = displs.iter().map(|&d| d * ext);
+                place(&mut out, child, starts.zip(blocklens.iter().copied()))
             }
             Datatype::Hindexed {
                 blocklens,
                 displs_bytes,
                 child,
             } => {
-                let ext = child.extent() as isize;
-                for (&b, &d) in blocklens.iter().zip(displs_bytes.iter()) {
-                    let start = base + d;
-                    for j in 0..b {
-                        child.flatten_into(start + ext * j as isize, out);
-                    }
-                }
+                let starts = displs_bytes.iter().copied();
+                place(&mut out, child, starts.zip(blocklens.iter().copied()))
             }
             Datatype::Struct {
                 blocklens,
@@ -510,10 +499,7 @@ impl Datatype {
                     .zip(displs_bytes.iter())
                     .zip(children.iter())
                 {
-                    let ext = c.extent() as isize;
-                    for j in 0..b {
-                        c.flatten_into(base + d + ext * j as isize, out);
-                    }
+                    place(&mut out, c, [(d, b)]);
                 }
             }
             Datatype::Subarray {
@@ -522,37 +508,55 @@ impl Datatype {
                 starts,
                 order,
                 child,
-            } => flatten_subarray(sizes, subsizes, starts, *order, child, base, out),
-            Datatype::Resized { child, .. } => child.flatten_into(base, out),
+            } => {
+                let ext = child.extent() as isize;
+                let rows = subarray_rows(sizes, subsizes, starts, *order);
+                place(&mut out, child, rows.into_iter().map(|(e, n)| (e * ext, n)))
+            }
+            Datatype::Resized { child, .. } => return child.flatten(),
         }
+        out
     }
 
     /// Commit the type: precompute the merged flattening and cache the
     /// size/extent. Mirrors `MPI_Type_commit`.
     pub fn commit(&self) -> Committed {
-        let mut flat = self.flatten_raw();
-        // Merge extents that are adjacent *in type-map order*; MPI type maps
-        // are ordered, so this is the canonical coalescing.
-        let mut merged: Vec<(isize, usize)> = Vec::with_capacity(flat.len());
-        for (off, len) in flat.drain(..) {
-            if len == 0 {
-                continue;
-            }
-            if let Some(last) = merged.last_mut() {
-                if last.0 + last.1 as isize == off {
-                    last.1 += len;
-                    continue;
-                }
-            }
-            merged.push((off, len));
-        }
         Committed {
             size: self.size(),
             extent: self.extent(),
             lb: self.lb(),
-            flat: merged.into(),
+            flat: self.flatten().into(),
             ty: self.clone(),
         }
+    }
+}
+
+/// Append blocks of `child` to `out`: each `(start, n)` places `n`
+/// consecutive instances (one child extent apart) from byte `start`. The
+/// child is flattened once for all of them.
+fn place(
+    out: &mut Vec<(isize, usize)>,
+    child: &Datatype,
+    blocks: impl IntoIterator<Item = (isize, usize)>,
+) {
+    let (flat, ext) = (child.flatten(), child.extent() as isize);
+    for (start, n) in blocks {
+        for j in 0..n as isize {
+            for &(off, len) in &flat {
+                push_run(out, start + ext * j + off, len);
+            }
+        }
+    }
+}
+
+/// Append `(off, len)` to a type-map-ordered run list, merging it into the
+/// last run when the two touch (MPI type maps are ordered, so this is the
+/// canonical coalescing). Empty runs are dropped.
+fn push_run(out: &mut Vec<(isize, usize)>, off: isize, len: usize) {
+    match out.last_mut() {
+        _ if len == 0 => {}
+        Some(last) if last.0 + last.1 as isize == off => last.1 += len,
+        _ => out.push((off, len)),
     }
 }
 
@@ -601,73 +605,44 @@ fn indexed_bounds(
     }
 }
 
-fn flatten_strided(
-    count: usize,
-    blocklen: usize,
-    stride_bytes: isize,
-    child: &Datatype,
-    base: isize,
-    out: &mut Vec<(isize, usize)>,
-) {
-    let ext = child.extent() as isize;
-    for i in 0..count {
-        let start = base + stride_bytes * i as isize;
-        for j in 0..blocklen {
-            child.flatten_into(start + ext * j as isize, out);
-        }
-    }
-}
-
-fn flatten_subarray(
+/// The rows of a subarray in type-map order: `(first element, elements)`
+/// runs along the fastest-varying dimension, with element indices into the
+/// enclosing array. A subarray with an empty dimension has no rows.
+fn subarray_rows(
     sizes: &[usize],
     subsizes: &[usize],
     starts: &[usize],
     order: Order,
-    child: &Datatype,
-    base: isize,
-    out: &mut Vec<(isize, usize)>,
-) {
-    let n = sizes.len();
-    let ext = child.extent() as isize;
-    // Compute strides (in elements) for each dimension under the ordering.
-    let mut strides = vec![1usize; n];
-    match order {
-        Order::C => {
-            for d in (0..n.saturating_sub(1)).rev() {
-                strides[d] = strides[d + 1] * sizes[d + 1];
-            }
-        }
-        Order::Fortran => {
-            for d in 1..n {
-                strides[d] = strides[d - 1] * sizes[d - 1];
-            }
-        }
+) -> Vec<(isize, usize)> {
+    // Dimensions from slowest- to fastest-varying, and each one's stride
+    // in elements.
+    let mut dims: Vec<usize> = (0..sizes.len()).collect();
+    if order == Order::Fortran {
+        dims.reverse();
     }
-    // Iterate over all index tuples of the subarray.
-    let mut idx = vec![0usize; n];
+    let mut strides = vec![0usize; sizes.len()];
+    let mut s = 1;
+    for &d in dims.iter().rev() {
+        strides[d] = s;
+        s *= sizes[d];
+    }
+    let (&fast, outer) = dims.split_last().expect("subarray has a dimension");
+    let mut rows = Vec::new();
+    if subsizes.contains(&0) {
+        return rows;
+    }
+    let mut idx = vec![0usize; sizes.len()];
     loop {
-        let mut elem = 0usize;
-        for d in 0..n {
-            elem += (starts[d] + idx[d]) * strides[d];
-        }
-        child.flatten_into(base + elem as isize * ext, out);
-        // Advance the index tuple, fastest-varying dimension per ordering.
-        let dims: Box<dyn Iterator<Item = usize>> = match order {
-            Order::C => Box::new((0..n).rev()),
-            Order::Fortran => Box::new(0..n),
+        let elem: usize = (0..sizes.len())
+            .map(|d| (starts[d] + idx[d]) * strides[d])
+            .sum();
+        rows.push((elem as isize, subsizes[fast]));
+        // Advance the outer index tuple, fastest outer dimension first.
+        let Some(k) = outer.iter().rposition(|&d| idx[d] + 1 < subsizes[d]) else {
+            return rows;
         };
-        let mut done = true;
-        for d in dims {
-            idx[d] += 1;
-            if idx[d] < subsizes[d] {
-                done = false;
-                break;
-            }
-            idx[d] = 0;
-        }
-        if done {
-            break;
-        }
+        idx[outer[k]] += 1;
+        outer[k + 1..].iter().for_each(|&d| idx[d] = 0);
     }
 }
 
@@ -1030,6 +1005,247 @@ mod tests {
         let t = Datatype::vector(3, 1, 2, Datatype::named(Named::Int));
         let d = t.dup();
         assert_eq!(t.commit().extents(), d.commit().extents());
+    }
+
+    /// Every child instance of `t` in type-map order, as `(displacement,
+    /// child)`, enumerated element by element.
+    fn instances(t: &Datatype) -> Vec<(isize, &Datatype)> {
+        fn run(c: &Datatype, start: isize, n: usize) -> impl Iterator<Item = isize> {
+            let ext = c.extent() as isize;
+            (0..n as isize).map(move |j| start + ext * j)
+        }
+        fn all(c: &Datatype, starts: Vec<(isize, usize)>) -> Vec<(isize, &Datatype)> {
+            (starts.into_iter())
+                .flat_map(|(s, n)| run(c, s, n))
+                .map(|d| (d, c))
+                .collect()
+        }
+        match t {
+            Datatype::Named(_) => Vec::new(),
+            Datatype::Contiguous { count, child } => all(child, vec![(0, *count)]),
+            Datatype::Vector {
+                count,
+                blocklen,
+                stride,
+                child,
+            } => {
+                let step = stride * child.extent() as isize;
+                all(
+                    child,
+                    (0..*count as isize)
+                        .map(|i| (i * step, *blocklen))
+                        .collect(),
+                )
+            }
+            Datatype::Hvector {
+                count,
+                blocklen,
+                stride_bytes,
+                child,
+            } => all(
+                child,
+                (0..*count as isize)
+                    .map(|i| (i * stride_bytes, *blocklen))
+                    .collect(),
+            ),
+            Datatype::Indexed {
+                blocklens,
+                displs,
+                child,
+            } => {
+                let ext = child.extent() as isize;
+                all(
+                    child,
+                    displs
+                        .iter()
+                        .map(|&d| d * ext)
+                        .zip(blocklens.iter().copied())
+                        .collect(),
+                )
+            }
+            Datatype::Hindexed {
+                blocklens,
+                displs_bytes,
+                child,
+            } => all(
+                child,
+                displs_bytes
+                    .iter()
+                    .copied()
+                    .zip(blocklens.iter().copied())
+                    .collect(),
+            ),
+            Datatype::Struct {
+                blocklens,
+                displs_bytes,
+                children,
+            } => (0..children.len())
+                .flat_map(|k| {
+                    let c = &*children[k];
+                    run(c, displs_bytes[k], blocklens[k]).map(move |d| (d, c))
+                })
+                .collect(),
+            Datatype::Subarray {
+                sizes,
+                subsizes,
+                starts,
+                order,
+                child,
+            } => {
+                // Linear element k of the subarray, fastest dimension per
+                // the ordering, mapped to its index in the enclosing array.
+                let n = sizes.len();
+                let dims: Vec<usize> = match order {
+                    Order::C => (0..n).rev().collect(),
+                    Order::Fortran => (0..n).collect(),
+                };
+                let ext = child.extent() as isize;
+                let count: usize = subsizes.iter().product();
+                (0..count)
+                    .map(|mut k| {
+                        let (mut elem, mut scale) = (0, 1);
+                        for &d in &dims {
+                            elem += (starts[d] + k % subsizes[d]) * scale;
+                            k /= subsizes[d];
+                            scale *= sizes[d];
+                        }
+                        (elem as isize * ext, &**child)
+                    })
+                    .collect()
+            }
+            Datatype::Resized { child, .. } => vec![(0, &**child)],
+        }
+    }
+
+    /// Reference flattening: one run per named element in type-map order,
+    /// then the canonical merge (empty runs dropped, touching runs joined).
+    /// Also returns the size, the total of the unmerged runs.
+    fn reference_extents(t: &Datatype) -> (Vec<(isize, usize)>, usize) {
+        fn walk(t: &Datatype, base: isize, raw: &mut Vec<(isize, usize)>) {
+            match t {
+                Datatype::Named(n) => raw.push((base, n.size())),
+                _ => (instances(t).into_iter()).for_each(|(d, c)| walk(c, base + d, raw)),
+            }
+        }
+        let mut raw = Vec::new();
+        walk(t, 0, &mut raw);
+        let size = raw.iter().map(|r| r.1).sum();
+        let mut merged: Vec<(isize, usize)> = Vec::new();
+        for (off, len) in raw.into_iter().filter(|r| r.1 > 0) {
+            match merged.last_mut() {
+                Some(last) if last.0 + last.1 as isize == off => last.1 += len,
+                _ => merged.push((off, len)),
+            }
+        }
+        (merged, size)
+    }
+
+    /// Reference `(lb, ub)`: the hull of every child instance's bounds.
+    fn reference_bounds(t: &Datatype) -> (isize, isize) {
+        match t {
+            Datatype::Named(n) => (0, n.size() as isize),
+            Datatype::Resized { lb, extent, .. } => (*lb, lb + *extent as isize),
+            Datatype::Subarray { sizes, child, .. } => (
+                0,
+                (sizes.iter().product::<usize>() * child.extent()) as isize,
+            ),
+            _ => instances(t)
+                .into_iter()
+                .map(|(d, c)| {
+                    let (lb, ub) = reference_bounds(c);
+                    (d + lb, d + ub)
+                })
+                .reduce(|a, b| (a.0.min(b.0), a.1.max(b.1)))
+                .unwrap_or((0, 0)),
+        }
+    }
+
+    /// Random nested datatypes with zero-length blocks, negative strides
+    /// and displacements, empty subarray dimensions and resized bounds.
+    struct Gen(rand::rngs::StdRng);
+
+    impl Gen {
+        fn below(&mut self, n: usize) -> usize {
+            use rand::RngExt;
+            (self.0.next_u64() % n as u64) as usize
+        }
+
+        fn signed(&mut self, lo: isize, hi: isize) -> isize {
+            lo + self.below((hi - lo + 1) as usize) as isize
+        }
+
+        fn list<T>(&mut self, n: usize, mut f: impl FnMut(&mut Self) -> T) -> Vec<T> {
+            (0..n).map(|_| f(self)).collect()
+        }
+
+        fn datatype(&mut self, depth: u32) -> Datatype {
+            let named = [Named::Byte, Named::Short, Named::Int, Named::Double];
+            if depth == 0 || self.below(5) == 0 {
+                return Datatype::named(named[self.below(named.len())]);
+            }
+            let child = self.datatype(depth - 1);
+            match self.below(8) {
+                0 => Datatype::contiguous(self.below(5), child),
+                1 => Datatype::vector(self.below(4), self.below(3), self.signed(-3, 4), child),
+                2 => Datatype::hvector(self.below(4), self.below(3), self.signed(-40, 40), child),
+                3 | 4 => {
+                    let n = self.below(4);
+                    let blocklens = self.list(n, |g| g.below(3));
+                    if self.below(2) == 0 {
+                        let displs = self.list(n, |g| g.signed(-4, 6));
+                        Datatype::indexed(blocklens, displs, child).unwrap()
+                    } else {
+                        let displs = self.list(n, |g| g.signed(-30, 50));
+                        Datatype::hindexed(blocklens, displs, child).unwrap()
+                    }
+                }
+                5 => {
+                    let n = 1 + self.below(3);
+                    let blocklens = self.list(n, |g| g.below(3));
+                    let displs = self.list(n, |g| g.signed(-30, 50));
+                    let mut children = self.list(n - 1, |g| g.datatype(depth - 1));
+                    children.push(child);
+                    Datatype::structured(blocklens, displs, children).unwrap()
+                }
+                6 => {
+                    let n = 1 + self.below(3);
+                    let sizes = self.list(n, |g| 1 + g.below(4));
+                    let starts: Vec<usize> = sizes.iter().map(|&s| self.below(s)).collect();
+                    let subsizes = (sizes.iter().zip(&starts))
+                        .map(|(&s, &st)| self.below(s - st + 1))
+                        .collect();
+                    let order = [Order::C, Order::Fortran][self.below(2)];
+                    Datatype::subarray(sizes, subsizes, starts, order, child).unwrap()
+                }
+                _ => Datatype::resized(self.signed(-8, 8), self.below(64), child),
+            }
+        }
+    }
+
+    #[test]
+    fn commit_matches_element_by_element_reference() {
+        use rand::SeedableRng;
+        let mut gen = Gen(rand::rngs::StdRng::seed_from_u64(0xC0FF_EE13));
+        for case in 0..2000 {
+            let t = gen.datatype(4);
+            let c = t.commit();
+            let (extents, size) = reference_extents(&t);
+            let (lb, ub) = reference_bounds(&t);
+            assert_eq!(c.extents(), &extents[..], "case {case}: {t:?}");
+            assert_eq!(c.size(), size, "case {case}: {t:?}");
+            assert_eq!(c.lb(), lb, "case {case}: {t:?}");
+            assert_eq!(c.extent(), (ub - lb).max(0) as usize, "case {case}: {t:?}");
+        }
+    }
+
+    #[test]
+    fn subarray_with_an_empty_dimension_has_no_extents() {
+        for order in [Order::C, Order::Fortran] {
+            let t = Datatype::subarray(vec![3, 4], vec![2, 0], vec![1, 2], order, byte()).unwrap();
+            let c = t.commit();
+            assert_eq!((c.size(), c.extent()), (0, 12));
+            assert!(c.extents().is_empty());
+        }
     }
 
     #[test]
