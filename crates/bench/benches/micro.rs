@@ -1,7 +1,7 @@
 //! Microbenches for the hot paths of the library stack: datatype flattening
 //! (the OCIO view machinery), the TCIO segment-mapping equations, extent-set
 //! maintenance, file-view range mapping, FTT record generation, the PFS lock
-//! table, timeline reservations, and the PFS cost model.
+//! table, timeline reservations, fabric transfers, and the PFS cost model.
 //!
 //! Self-contained harness (no external bench framework — the build
 //! environment is offline): each case is warmed up, then timed over enough
@@ -163,6 +163,48 @@ fn bench_timeline() {
         }
         t.segments()
     });
+    // The node-NIC shape: a few thousand disjoint intervals (the default
+    // prune keeps 2048..4096), each new booking landing about 500
+    // intervals before the tail, plus one append per step.
+    let mut t = Timeline::new();
+    let period = 4.0e-6;
+    let mut k = 0u64;
+    bench("timeline/backfill_reserve_3k_near_tail", || {
+        k += 1;
+        t.reserve(k as f64 * period, 1.0e-6);
+        let back = k.saturating_sub(500) as f64 * period;
+        t.reserve(back + 2.0e-6, 5.0e-7)
+    });
+}
+
+fn bench_fabric() {
+    use mpisim::net::Fabric;
+    use mpisim::{NetConfig, Topology};
+    // 64 ranks on 8 nodes; every transfer crosses nodes, so each one
+    // counts its congestion window and books two node-NIC timelines.
+    let f = Fabric::new_full(
+        64,
+        NetConfig::default(),
+        None,
+        Some(Topology::blocked(64, 8)),
+    );
+    let mut k = 0u64;
+    bench("net/transfer_congestion_window_2k", || {
+        let mut last = 0.0;
+        for _ in 0..2048 {
+            k += 1;
+            let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let src = (h >> 8) as usize % 64;
+            let dst = (src + 8 * (1 + (h >> 24) as usize % 7)) % 64;
+            // Ready times advance 1 µs per transfer, scattered up to
+            // 500 µs back.
+            let jitter = (h >> 40) as f64 / (1u64 << 24) as f64 * 500.0e-6;
+            last = f
+                .transfer(src, dst, 768, 1.0 + k as f64 * 1.0e-6 - jitter)
+                .arrival;
+        }
+        last
+    });
 }
 
 fn bench_pfs_ops() {
@@ -206,6 +248,7 @@ fn main() {
     bench_normal();
     bench_lock_manager();
     bench_timeline();
+    bench_fabric();
     bench_pfs_ops();
     bench_sieve();
 }

@@ -16,9 +16,15 @@
 //!    flight in the same virtual-time neighbourhood, modelling fabric/switch
 //!    contention during synchronized communication bursts.
 //!
-//! All bookkeeping is in *virtual seconds*; wall-clock thread scheduling only
-//! affects the order in which reservations are made, which introduces jitter
-//! comparable to real-machine noise.
+//! All bookkeeping is in *virtual seconds*. Under the event core a rank's
+//! fiber runs ahead in virtual time until it parks, so reservations arrive
+//! out of virtual-time order; the gap-backfilling [`Timeline`] and the
+//! count-bounded congestion window make the outcome a function of the
+//! deterministic `(clock, rank)` schedule alone.
+//!
+//! Host cost per inter-node transfer is O(log n) in the fabric's history:
+//! the congestion count is two binary searches over sorted starts and ends,
+//! and each port reservation is a binary search over a chunked timeline.
 
 use crate::timeline::Timeline;
 use parking_lot::Mutex;
@@ -208,29 +214,57 @@ impl LruSet {
 }
 
 /// In-flight transfer interval tracking for the congestion term.
+///
+/// Every interval has `end >= start`, so the intervals containing `t`
+/// (`start <= t < end`) number exactly `#{start <= t} - #{end <= t}`: an
+/// interval ending by `t` also started by `t`. Keeping the starts and the
+/// ends each sorted answers that with two binary searches instead of a
+/// scan of the whole window.
 #[derive(Debug, Default)]
 struct Inflight {
-    /// (start, end) of recent transfers, pruned lazily.
+    /// `(start, end)` of recent transfers in record order (eviction).
     intervals: VecDeque<(f64, f64)>,
+    /// The same starts, sorted ascending.
+    starts: VecDeque<f64>,
+    /// The same ends, sorted ascending.
+    ends: VecDeque<f64>,
+}
+
+/// Insert `x` into the ascending `sorted`.
+fn insert_sorted(sorted: &mut VecDeque<f64>, x: f64) {
+    sorted.insert(sorted.partition_point(|&y| y <= x), x);
+}
+
+/// Remove one copy of `x` from the ascending `sorted` (equal values are
+/// interchangeable, so any copy will do).
+fn remove_sorted(sorted: &mut VecDeque<f64>, x: f64) {
+    let at = sorted.partition_point(|&y| y < x);
+    debug_assert!(sorted[at] == x, "evicted value must be present");
+    sorted.remove(at);
 }
 
 impl Inflight {
     /// Most recent transfers remembered for overlap counting. Virtual time
-    /// is not monotone across threads (gap backfill), so the window is
-    /// bounded by count, not by time.
+    /// is not monotone across bookings (a fiber runs ahead in virtual time
+    /// until it parks, and gap backfill lets a later booking land
+    /// earlier), so the window is bounded by count, not by time.
     const WINDOW: usize = 2048;
 
     /// Count recent intervals overlapping `t`, then record `[start, end)`.
     fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
+        debug_assert!(
+            start <= end,
+            "transfer interval must not end before it starts"
+        );
         while self.intervals.len() >= Self::WINDOW {
-            self.intervals.pop_front();
+            let (s, e) = (self.intervals.pop_front()).expect("the window is full");
+            remove_sorted(&mut self.starts, s);
+            remove_sorted(&mut self.ends, e);
         }
-        let n = self
-            .intervals
-            .iter()
-            .filter(|&&(s, e)| s <= t && t < e)
-            .count();
+        let n = self.starts.partition_point(|&s| s <= t) - self.ends.partition_point(|&e| e <= t);
         self.intervals.push_back((start, end));
+        insert_sorted(&mut self.starts, start);
+        insert_sorted(&mut self.ends, end);
         n
     }
 }
@@ -257,7 +291,7 @@ pub struct Fabric {
 
 /// Reserve `dur` seconds on a port timeline, starting no earlier than
 /// `earliest`. Returns the granted start time (gap backfill makes this
-/// insensitive to real thread scheduling order — see [`Timeline`]).
+/// insensitive to the order in which ranks book — see [`Timeline`]).
 fn reserve(slot: &Mutex<Timeline>, earliest: f64, dur: f64) -> f64 {
     slot.lock().reserve(earliest, dur)
 }
@@ -532,6 +566,56 @@ mod tests {
         }
         // Pairwise-disjoint transfers complete in ~one duration.
         assert!(last < 2.0 * dur + 1e-3, "last arrival {last}");
+    }
+
+    /// The filter-count window the sorted one replaced: the reference the
+    /// differential test holds it to.
+    #[derive(Default)]
+    struct ScanInflight {
+        intervals: VecDeque<(f64, f64)>,
+    }
+
+    impl ScanInflight {
+        fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
+            while self.intervals.len() >= Inflight::WINDOW {
+                self.intervals.pop_front();
+            }
+            let n = (self.intervals.iter())
+                .filter(|&&(s, e)| s <= t && t < e)
+                .count();
+            self.intervals.push_back((start, end));
+            n
+        }
+    }
+
+    #[test]
+    fn sorted_inflight_matches_the_scan_reference() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1F11_6470);
+        let mut below = |n: u64| rng.next_u64() % n;
+        let (mut got, mut want) = (Inflight::default(), ScanInflight::default());
+        // A coarse grid makes duplicate starts and ends common; a quarter
+        // of the transfers carry no bytes (`start == end`).
+        let grid = 1.0e-6;
+        for step in 0..3 * Inflight::WINDOW + 700 {
+            let start = below(400) as f64 * grid;
+            let end = start + [0, 1, 3, 40][below(4) as usize] as f64 * grid;
+            // Query at the new start (as the fabric does), exactly at a
+            // remembered start or end, or anywhere on the grid.
+            let t = match (below(4), want.intervals.len() as u64) {
+                (0, _) | (_, 0) => start,
+                (1, n) => want.intervals[below(n) as usize].0,
+                (2, n) => want.intervals[below(n) as usize].1,
+                _ => below(440) as f64 * grid,
+            };
+            let (g, w) = (
+                got.overlap_and_record(t, start, end),
+                want.overlap_and_record(t, start, end),
+            );
+            assert_eq!(g, w, "step {step}: t {t} [{start}, {end})");
+        }
+        assert_eq!(got.starts.len(), Inflight::WINDOW);
+        assert_eq!(got.ends.len(), Inflight::WINDOW);
     }
 
     #[test]

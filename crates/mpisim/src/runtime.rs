@@ -1685,7 +1685,9 @@ impl Rank {
     pub fn win_unlock(&mut self, ep: Epoch<'_>) -> Result<()> {
         self.check_abort()?;
         self.chaos_checkpoint()?;
-        let cfg = self.shared.fabric.config().clone();
+        let cfg = self.shared.fabric.config();
+        let (send_overhead, latency, byte_time) = (cfg.send_overhead, cfg.latency, cfg.byte_time);
+        let (header, lock_cost) = (cfg.gather_header_bytes, cfg.rma_lock_cost);
         let me = self.id;
         let epoch_start = self.clock;
         let target = ep.target;
@@ -1694,12 +1696,12 @@ impl Rank {
         // resolved.
         let mut intrinsic = 0.0;
         for &(bytes, parts) in &ep.put_msgs {
-            let msg = bytes + parts * cfg.gather_header_bytes;
-            intrinsic += cfg.send_overhead + cfg.latency + msg as f64 * cfg.byte_time;
+            let msg = bytes + parts * header;
+            intrinsic += send_overhead + latency + msg as f64 * byte_time;
         }
         for &(bytes, parts) in &ep.get_msgs {
-            let msg = bytes + parts * cfg.gather_header_bytes;
-            intrinsic += 2.0 * cfg.latency + cfg.send_overhead + msg as f64 * cfg.byte_time;
+            let msg = bytes + parts * header;
+            intrinsic += 2.0 * latency + send_overhead + msg as f64 * byte_time;
         }
         let start = match ep.kind {
             LockKind::Exclusive => ep.win.shared.tokens[target]
@@ -1723,7 +1725,7 @@ impl Rank {
         let mut now = start;
         let mut moved = 0u64;
         for &(bytes, parts) in &ep.put_msgs {
-            let msg = bytes + parts * cfg.gather_header_bytes;
+            let msg = bytes + parts * header;
             let tr = self.shared.fabric.transfer(me, target, msg, now);
             now = tr.arrival;
             self.stats.puts += 1;
@@ -1731,19 +1733,16 @@ impl Rank {
             moved += bytes as u64;
         }
         for &(bytes, parts) in &ep.get_msgs {
-            let msg = bytes + parts * cfg.gather_header_bytes;
+            let msg = bytes + parts * header;
             // Get is a round trip: request, then data target → origin.
-            let tr = self
-                .shared
-                .fabric
-                .transfer(target, me, msg, now + cfg.latency);
+            let tr = self.shared.fabric.transfer(target, me, msg, now + latency);
             now = tr.arrival;
             self.stats.gets += 1;
             self.stats.get_bytes += bytes as u64;
             moved += bytes as u64;
         }
         self.stats.rma_epochs += 1;
-        self.set_clock_as(now + cfg.rma_lock_cost, Phase::Exchange);
+        self.set_clock_as(now + lock_cost, Phase::Exchange);
         self.tracer.record_full(
             "rma_epoch",
             Phase::Exchange,

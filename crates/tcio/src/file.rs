@@ -30,7 +30,6 @@ use mpiio::ExtentSet;
 use mpisim::{Committed, LockKind, MemGuard, Phase, Rank, Window};
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Open mode. TCIO handles are single-direction, matching the paper's
@@ -817,28 +816,26 @@ impl<'a> TcioFile<'a> {
         self.with_loaded_segment(rank, loc.owner, loc.segment, &mut parts)
     }
 
-    /// `tcio_fetch`: resolve all recorded lazy reads.
+    /// `tcio_fetch`: resolve all recorded lazy reads. They all lie in
+    /// `read_window` — `read_at` fetches whenever the window changes — so
+    /// they form one gathered get from that window's `(owner, segment)`.
     pub fn fetch(&mut self, rank: &mut Rank) -> Result<()> {
-        if self.pending_reads.is_empty() {
-            return Ok(());
-        }
         let pending = std::mem::take(&mut self.pending_reads);
-        self.read_window = None;
-        // Group by (owner, segment); BTreeMap gives a deterministic order.
-        type GetParts<'b> = Vec<(usize, &'b mut [u8])>;
-        let mut groups: BTreeMap<(usize, usize), GetParts<'_>> = BTreeMap::new();
-        for (off, buf) in pending {
-            let loc = self.locate_checked(off)?;
-            let disp = (loc.segment as u64 * self.cfg.segment_size + loc.disp) as usize;
-            groups
-                .entry((loc.owner, loc.segment))
-                .or_default()
-                .push((disp, buf));
-        }
-        for ((owner, segment), mut parts) in groups {
-            self.with_loaded_segment(rank, owner, segment, &mut parts)?;
-        }
-        Ok(())
+        let (Some(window), Some(&(first, _))) = (self.read_window.take(), pending.first()) else {
+            debug_assert!(pending.is_empty(), "pending reads need a read window");
+            return Ok(());
+        };
+        let s = self.cfg.segment_size;
+        debug_assert!(
+            (pending.iter()).all(|(off, b)| *off >= window && off + b.len() as u64 <= window + s),
+            "every pending read lies in the read window"
+        );
+        let loc = self.locate_checked(first)?;
+        let seg_base = loc.segment as u64 * s;
+        let mut parts: Vec<(usize, &mut [u8])> = (pending.into_iter())
+            .map(|(off, buf)| ((seg_base + off - window) as usize, buf))
+            .collect();
+        self.with_loaded_segment(rank, loc.owner, loc.segment, &mut parts)
     }
 
     // ------------------------------------------------------------------
@@ -1221,6 +1218,54 @@ mod tests {
                     "rank {r} read bad data"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lazy_batches_follow_windows_and_explicit_fetches() {
+        // Segments of 64 bytes. Each rank reads [56, 72) past its base,
+        // which splits across two windows; fetches mid-window; reads on
+        // in the second window; then moves to a third. Every lazy batch
+        // holds exactly one piece here, so the lazy run must make exactly
+        // the eager run's gets and epochs: none extra for the split read,
+        // none lost around the explicit fetch.
+        let nprocs = 2;
+        let (fs, _) = write_interleaved(nprocs, 8, 16, small_cfg(8));
+        let file = fs.snapshot_file(fs.open("/t").unwrap()).unwrap();
+        let run = |read_mode| {
+            let fs2 = Arc::clone(&fs);
+            mpisim::run(nprocs, SimConfig::default(), move |rk| {
+                let cfg = TcioConfig {
+                    read_mode,
+                    ..small_cfg(8)
+                };
+                let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, cfg).map_err(to_mpi)?;
+                let base = rk.rank() as u64 * 128;
+                let mut bufs = vec![vec![0u8; 16]; 3];
+                let [split, same, next] = &mut bufs[..] else {
+                    unreachable!()
+                };
+                f.read_at(rk, base + 56, split).map_err(to_mpi)?;
+                f.fetch(rk).map_err(to_mpi)?;
+                f.read_at(rk, base + 80, same).map_err(to_mpi)?;
+                f.read_at(rk, (base + 136) % 256, next).map_err(to_mpi)?;
+                f.close(rk).map_err(to_mpi)?;
+                Ok(bufs)
+            })
+            .unwrap()
+        };
+        let (lazy, eager) = (run(ReadMode::Lazy), run(ReadMode::Eager));
+        for r in 0..nprocs {
+            let base = r * 128;
+            let want: Vec<&[u8]> = [base + 56, base + 80, (base + 136) % 256]
+                .iter()
+                .map(|&o| &file[o..o + 16])
+                .collect();
+            assert_eq!(lazy.results[r], want, "rank {r} lazy read-back");
+            assert_eq!(eager.results[r], want, "rank {r} eager read-back");
+            let (l, e) = (&lazy.stats[r], &eager.stats[r]);
+            assert_eq!((l.gets, l.rma_epochs), (e.gets, e.rma_epochs), "rank {r}");
+            assert_eq!(l.gets, 4, "rank {r}: one get per window visit");
         }
     }
 
